@@ -231,12 +231,12 @@ func TestProbeForcesStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probed int64
-	m.Probe = func(cycle int64, mm *machine.Machine) {
+	m.AddProbe(func(cycle int64, mm *machine.Machine) {
 		if cycle != probed+1 {
 			t.Fatalf("probe cycle %d after %d: a cycle was skipped", cycle, probed)
 		}
 		probed = cycle
-	}
+	})
 	st, err := m.Collect()
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+
+	"hwgc/internal/httpjson"
 )
 
 // The admin API is the fleet's elastic-membership control plane:
@@ -77,18 +79,12 @@ func (f *Fleet) topology() topologyBody {
 }
 
 func (f *Fleet) writeTopology(w http.ResponseWriter, code int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(f.topology())
+	httpjson.Write(w, code, f.topology())
 }
 
 // handleAdminTopology serves GET /v1/admin/topology.
 func (f *Fleet) handleAdminTopology(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
+	if !httpjson.Method(w, r, http.MethodGet) {
 		return
 	}
 	f.writeTopology(w, http.StatusOK)
@@ -101,17 +97,17 @@ type addBackendBody struct {
 
 // handleAdminBackends serves POST /v1/admin/backends: health-gated join.
 func (f *Fleet) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !httpjson.Method(w, r, http.MethodPost) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var body addBackendBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	if body.URL == "" {
-		writeError(w, http.StatusBadRequest, "URL must be set")
+		httpjson.Error(w, http.StatusBadRequest, "URL must be set")
 		return
 	}
 	_, _, err := f.AddBackend(body.URL)
@@ -120,11 +116,11 @@ func (f *Fleet) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		f.goRebalance()
 		f.writeTopology(w, http.StatusCreated)
 	case errors.Is(err, ErrDuplicate):
-		writeError(w, http.StatusConflict, "%v", err)
+		httpjson.Error(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, ErrAdmission):
-		writeError(w, http.StatusBadGateway, "%v", err)
+		httpjson.Error(w, http.StatusBadGateway, "%v", err)
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpjson.Error(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
@@ -132,12 +128,10 @@ func (f *Fleet) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/admin/backends/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 		return
 	}
-	if r.Method != http.MethodDelete {
-		w.Header().Set("Allow", http.MethodDelete)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires DELETE", r.URL.Path)
+	if !httpjson.Method(w, r, http.MethodDelete) {
 		return
 	}
 	_, err := f.RemoveBackend(id)
@@ -146,11 +140,11 @@ func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 		f.goRebalance()
 		f.writeTopology(w, http.StatusOK)
 	case errors.Is(err, ErrUnknownBackend):
-		writeError(w, http.StatusNotFound, "%v", err)
+		httpjson.Error(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, ErrLastBackend):
-		writeError(w, http.StatusConflict, "%v", err)
+		httpjson.Error(w, http.StatusConflict, "%v", err)
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -159,13 +153,9 @@ func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 // topology changes kick make this mostly an operator/testing convenience —
 // a deterministic "rebalance now and tell me what moved".
 func (f *Fleet) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !httpjson.Method(w, r, http.MethodPost) {
 		return
 	}
 	rep := f.Rebalance(r.Context())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rep)
+	httpjson.Write(w, http.StatusOK, rep)
 }

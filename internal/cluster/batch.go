@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"hwgc"
+	"hwgc/internal/httpjson"
 )
 
 // maxBatchBodyBytes matches the backend /v1/batch body bound.
@@ -20,13 +21,13 @@ const maxBatchBodyBytes = 16 << 20
 // and gathered into the same BatchResponse encoding one gcserved produces
 // — per-item partial failures, never a hung batch.
 func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !httpjson.Method(w, r, http.MethodPost) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
 	req, err := hwgc.DecodeBatchRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid batch: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "invalid batch: %v", err)
 		return
 	}
 	resp := f.runBatch(r.Context(), req)

@@ -18,11 +18,11 @@
 //     the same ring owner as the equivalent synchronous request (the job ID
 //     is the content key), including a streaming SSE pass-through for
 //     /v1/jobs/{id}/events;
-//   - parameter-space sweeps (/v1/sweeps*): the proxy plans a SweepSpace
-//     with the same canonical expansion the backends use, routes every
-//     point's job to its cache-owning backend by content key, and
-//     aggregates the ranked frontier locally — byte-identical to what a
-//     single backend would serve for the same space;
+//   - parameter-space sweeps (/v1/sweeps*): the proxy runs the same
+//     sweep.Coordinator and HTTP handlers as a backend, over a point runner
+//     that routes every point's job to its cache-owning backend by content
+//     key, so the ranked frontier aggregates locally — byte-identical to
+//     what a single backend would serve for the same space;
 //   - fleet-level Prometheus metrics on /metrics.
 //
 // The design follows the paper's synchronization discipline at fleet
@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"hwgc/internal/elastic"
+	"hwgc/internal/sweep"
 )
 
 // Options configures a Fleet. Zero values select the defaults.
@@ -98,8 +99,8 @@ type Options struct {
 	// ExportWait bounds how long a migration export waits for a running job
 	// to reach its next snapshot boundary (default 30s).
 	ExportWait time.Duration
-	// SweepPoll is the per-point result poll interval of the fleet sweep
-	// engine (default 250ms; tests shrink it).
+	// SweepPoll is the per-point result poll interval of the fleet's sweep
+	// point runner (default 250ms; tests shrink it).
 	SweepPoll time.Duration
 }
 
@@ -189,7 +190,7 @@ type Fleet struct {
 	registry *jobRegistry     // canonical submit bodies, for dead-owner rescue
 	emetrics *elastic.Metrics // gcelastic_* counters, appended to /metrics
 	migrator *elastic.Migrator
-	sweeps   *fleetSweeps // proxy-side sweep planner/aggregator
+	sweeps   *sweep.Coordinator // proxy-side sweep table over the ring
 
 	rebalanceMu sync.Mutex // serializes migration passes
 
@@ -257,15 +258,14 @@ func New(opts Options) (*Fleet, error) {
 		Logf:       log.Printf,
 		ExportWait: opts.ExportWait,
 	}
-	f.sweeps = newFleetSweeps(f)
 	f.mux = http.NewServeMux()
 	f.mux.HandleFunc("/v1/collect", f.handleCollect)
 	f.mux.HandleFunc("/v1/sweep", f.handleSweep)
 	f.mux.HandleFunc("/v1/batch", f.handleBatch)
 	f.mux.HandleFunc("/v1/jobs", f.handleJobs)
 	f.mux.HandleFunc("/v1/jobs/", f.handleJobByID)
-	f.mux.HandleFunc("/v1/sweeps", f.handleSweeps)
-	f.mux.HandleFunc("/v1/sweeps/", f.handleSweepByID)
+	f.sweeps = sweep.NewWithRunner(newRingRunner(f))
+	f.sweeps.Mount(f.mux, nil, nil)
 	f.mux.HandleFunc("/v1/workloads", f.handleWorkloads)
 	f.mux.HandleFunc("/v1/admin/backends", f.handleAdminBackends)
 	f.mux.HandleFunc("/v1/admin/backends/", f.handleAdminBackendByID)
@@ -291,7 +291,7 @@ func (f *Fleet) Start() {
 // both.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })
-	f.sweeps.close()
+	f.sweeps.Close()
 	f.wg.Wait()
 }
 
@@ -498,6 +498,12 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 			case terminal(res):
 				res.backend.breaker.Record(true)
 				return res, nil
+			case res.err != nil && ctx.Err() != nil:
+				// The caller gave up mid-exchange (a cancelled sweep point, a
+				// disconnected client): that says nothing about the backend,
+				// so its breaker slot settles without an outcome.
+				res.backend.breaker.Cancel()
+				return last, ctx.Err()
 			case res.status == http.StatusTooManyRequests:
 				// Deliberate backpressure: the backend is alive, just
 				// busy. Honor its Retry-After before the next round.

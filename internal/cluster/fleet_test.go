@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -622,5 +623,26 @@ func TestFleetRemoveBackend(t *testing.T) {
 	}
 	if _, err := f.RemoveBackend("nope"); err == nil {
 		t.Error("removing unknown backend accepted")
+	}
+}
+
+// A request its caller abandons mid-exchange is not a backend failure: a
+// cancelled sweep point or a disconnected client must never trip a
+// breaker (and with it a rebalance that rescues jobs nobody wants).
+func TestFleetCallerCancelSparesBreaker(t *testing.T) {
+	slow := newFakeBackend(t, time.Second)
+	slow.mode.Store("slow")
+	f, _ := newTestFleet(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Hour}, slow)
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, err := f.do(ctx, http.MethodPost, "/v1/collect", "key", collectBody(1))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("abandoned request %d: err = %v, want the caller's deadline", i, err)
+		}
+	}
+	if b := f.Backends()[0]; b.breaker.State() != BreakerClosed || f.metrics.backendFailures.Load() != 0 {
+		t.Fatalf("caller cancellations counted against the backend: breaker %s, failures %d",
+			b.breaker.State(), f.metrics.backendFailures.Load())
 	}
 }

@@ -1,47 +1,30 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
 	"hwgc"
+	"hwgc/internal/httpjson"
+	"hwgc/internal/plan"
 )
 
 // maxBodyBytes bounds single-request bodies, matching the backend limit.
 const maxBodyBytes = 8 << 20
 
-type errorBody struct {
-	Error string
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-		return false
-	}
-	return true
-}
-
 // handleCollect and handleSweep proxy the single-request endpoints: the
-// fleet canonicalizes locally (so equivalent spellings share one key and
-// one owner), routes by content key, and forwards the canonical body. The
-// backend reply is passed through verbatim — byte-identical to what the
-// owner would serve directly.
+// fleet decodes strictly (an unknown field is a 400, as on a backend, never
+// a silently different content key), canonicalizes locally (so equivalent
+// spellings share one key and one owner), routes by content key, and
+// forwards the canonical body. The backend reply is passed through
+// verbatim — byte-identical to what the owner would serve directly.
 func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
 	f.proxyRequest(w, r, func(body []byte) (string, []byte, error) {
 		var req hwgc.CollectRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := plan.DecodeStrict(bytes.NewReader(body), &req); err != nil {
 			return "", nil, err
 		}
 		canon, err := req.CanonicalJSON()
@@ -55,7 +38,7 @@ func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
 func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
 	f.proxyRequest(w, r, func(body []byte) (string, []byte, error) {
 		var req hwgc.SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := plan.DecodeStrict(bytes.NewReader(body), &req); err != nil {
 			return "", nil, err
 		}
 		canon, err := req.CanonicalJSON()
@@ -68,18 +51,18 @@ func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // proxyRequest is the shared single-request proxy path.
 func (f *Fleet) proxyRequest(w http.ResponseWriter, r *http.Request, canonicalize func([]byte) (string, []byte, error)) {
-	if !requirePost(w, r) {
+	if !httpjson.Method(w, r, http.MethodPost) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	raw, err := readAll(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
 	key, canon, err := canonicalize(raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
@@ -103,10 +86,10 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 		_, _ = w.Write(res.body)
 	case errors.Is(err, ErrNoBackends):
 		f.metrics.exhausted.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no healthy backend for this key (all breakers open)")
+		httpjson.Error(w, http.StatusServiceUnavailable, "no healthy backend for this key (all breakers open)")
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		f.metrics.exhausted.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "fleet deadline (%s) exceeded", f.opts.Timeout)
+		httpjson.Error(w, http.StatusGatewayTimeout, "fleet deadline (%s) exceeded", f.opts.Timeout)
 	case errors.Is(err, ErrExhausted) && res.status != 0:
 		// Out of attempts but we do hold a last reply (a 429 or 5xx):
 		// surface it so the client sees the backend's own signal.
@@ -120,7 +103,7 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 		_, _ = w.Write(res.body)
 	default:
 		f.metrics.exhausted.Add(1)
-		writeError(w, http.StatusBadGateway, "all backends failed: %v", err)
+		httpjson.Error(w, http.StatusBadGateway, "all backends failed: %v", err)
 	}
 }
 
@@ -141,9 +124,7 @@ func readAll(r *http.Request) ([]byte, error) {
 // handleWorkloads forwards GET /v1/workloads to a healthy backend (the
 // listing is identical on every backend).
 func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
+	if !httpjson.Method(w, r, http.MethodGet) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
@@ -184,16 +165,12 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Status != "ok" {
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(h)
+	httpjson.Write(w, code, h)
 }
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = f.metrics.WritePrometheus(w, f.Backends())
 	_ = f.emetrics.WritePrometheus(w)
-	_ = f.sweeps.metrics.WritePrometheus(w)
+	_ = f.sweeps.WriteMetrics(w)
 }

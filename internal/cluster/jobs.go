@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"strings"
 
 	"hwgc"
+	"hwgc/internal/httpjson"
+	"hwgc/internal/plan"
 )
 
 // jobSubmit mirrors gcserved's POST /v1/jobs body: exactly one of Collect
@@ -26,22 +29,22 @@ type jobSubmit struct {
 // idempotent on the backend (dedup by content key), which is what makes the
 // fleet's retry/failover policy safe for this POST.
 func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !httpjson.Method(w, r, http.MethodPost) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	raw, err := readAll(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
 	var sub jobSubmit
-	if err := json.Unmarshal(raw, &sub); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+	if err := plan.DecodeStrict(bytes.NewReader(raw), &sub); err != nil {
+		httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	if (sub.Collect == nil) == (sub.Sweep == nil) {
-		writeError(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
+		httpjson.Error(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
 		return
 	}
 	var canon []byte
@@ -55,7 +58,7 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	key := hwgc.KeyBytes(canon)
@@ -76,7 +79,7 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(fwd)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "encoding request: %v", err)
 		return
 	}
 
@@ -104,39 +107,30 @@ func (f *Fleet) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id, subPath, _ := strings.Cut(rest, "/")
 	if id == "" || strings.Contains(subPath, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 		return
 	}
 	switch subPath {
 	case "":
 		if r.Method != http.MethodGet && r.Method != http.MethodDelete {
 			w.Header().Set("Allow", "GET, DELETE")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
+			httpjson.Error(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
 			return
 		}
 		f.proxyJobPath(w, r, id, r.Method)
 	case "result":
-		if !requireGetFleet(w, r) {
+		if !httpjson.Method(w, r, http.MethodGet) {
 			return
 		}
 		f.proxyJobPath(w, r, id, http.MethodGet)
 	case "events":
-		if !requireGetFleet(w, r) {
+		if !httpjson.Method(w, r, http.MethodGet) {
 			return
 		}
 		f.streamJobEvents(w, r, id)
 	default:
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 	}
-}
-
-func requireGetFleet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
-		return false
-	}
-	return true
 }
 
 // proxyJobPath forwards a bodyless by-id request under the standard
@@ -159,7 +153,7 @@ func (f *Fleet) proxyJobPath(w http.ResponseWriter, r *http.Request, id, method 
 func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
+		httpjson.Error(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
 	replicas := f.replicasFor(id)
@@ -170,7 +164,7 @@ func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id strin
 		b.requests.Add(1)
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.baseURL+r.URL.Path, nil)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "building request: %v", err)
+			httpjson.Error(w, http.StatusInternalServerError, "building request: %v", err)
 			return
 		}
 		resp, err := f.client.Do(req)
@@ -216,5 +210,5 @@ func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id strin
 		}
 	}
 	f.metrics.exhausted.Add(1)
-	writeError(w, http.StatusServiceUnavailable, "no admissible backend to stream job events")
+	httpjson.Error(w, http.StatusServiceUnavailable, "no admissible backend to stream job events")
 }

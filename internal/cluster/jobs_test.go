@@ -258,6 +258,14 @@ func TestFleetJobsValidation(t *testing.T) {
 		{"deep path", http.MethodGet, "/v1/jobs/a/b/c", nil, http.StatusNotFound},
 		{"id requires GET or DELETE", http.MethodPost, "/v1/jobs/feedbeef", nil, http.StatusMethodNotAllowed},
 		{"events require GET", http.MethodDelete, "/v1/jobs/feedbeef/events", nil, http.StatusMethodNotAllowed},
+		// Strict decoding: a misspelt knob is a 400 at the fleet exactly as
+		// on a backend, never a default config under another content key.
+		{"unknown config field on collect", http.MethodPost, "/v1/collect",
+			[]byte(`{"Bench":"jlisp","Config":{"Corez":2}}`), http.StatusBadRequest},
+		{"unknown config field on job", http.MethodPost, "/v1/jobs",
+			[]byte(`{"Collect":{"Bench":"jlisp","Config":{"Corez":2}}}`), http.StatusBadRequest},
+		{"unknown sweep field", http.MethodPost, "/v1/sweeps",
+			[]byte(`{"Space":{"Benches":["jlisp"],"Base":{}},"Bogus":1}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if got := status(tc.method, tc.path, tc.body); got != tc.want {

@@ -5,480 +5,106 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
-	"sync"
 
 	"hwgc"
 	"hwgc/internal/sweep"
 )
 
-// sweepPointInflight bounds how many points of one sweep the proxy drives
-// concurrently. The fleet fans points out across backends by content key, so
-// the real parallelism is the backends' runner pools; this only caps the
-// proxy's outstanding submissions and result polls.
+// sweepPointInflight bounds how many sweep points the proxy drives at once.
+// The fleet fans points out across backends by content key, so the real
+// parallelism is the backends' runner pools; this only caps the proxy's
+// outstanding submissions and result polls.
 const sweepPointInflight = 8
 
-// maxSweepResubmits bounds how many times one point's job is resubmitted
-// after an owner stopped knowing it — a backend that died before its WAL
-// record landed, a migration window, or a direct client's cancellation.
-// Submission is idempotent (the job ID is the content key), so a resubmit
-// can never duplicate work that still exists anywhere.
-const maxSweepResubmits = 16
-
-// fleetSweeps is the proxy-side sweep engine: it expands a SweepSpace
-// locally (the same canonical planner the backends use, so the sweep ID and
-// every point key are identical fleet-wide), routes each point's job to the
-// backend that owns its content key, polls results with failover, and
-// aggregates the frontier at the proxy. State reuses the execution-agnostic
-// sweep.Tracker, which makes the aggregated frontier byte-identical to what
-// a single gcserved would serve for the same space: both rank the same
-// deterministic outcomes through the same pure function.
-type fleetSweeps struct {
-	f       *Fleet
-	metrics *sweep.Metrics
-
-	mu      sync.Mutex
-	sweeps  map[string]*sweep.Tracker
-	cancels map[string]context.CancelFunc
-	wg      sync.WaitGroup
+// ringRunner is gcfleet's sweep.PointRunner. The proxy plans a space with
+// the same canonical planner the backends use, so the sweep ID and every
+// point key are identical fleet-wide; each point's job goes to the backend
+// owning its content key, and the frontier aggregates at the proxy
+// byte-identical to what a single gcserved would serve for the same space.
+type ringRunner struct {
+	f   *Fleet
+	sem chan struct{}
 }
 
-func newFleetSweeps(f *Fleet) *fleetSweeps {
-	return &fleetSweeps{
-		f:       f,
-		metrics: sweep.NewMetrics(),
-		sweeps:  make(map[string]*sweep.Tracker),
-		cancels: make(map[string]context.CancelFunc),
-	}
+func newRingRunner(f *Fleet) *ringRunner {
+	return &ringRunner{f: f, sem: make(chan struct{}, sweepPointInflight)}
 }
 
-// close cancels every point driver and waits for them to exit.
-func (fs *fleetSweeps) close() {
-	fs.mu.Lock()
-	for _, cancel := range fs.cancels {
-		cancel()
-	}
-	fs.mu.Unlock()
-	fs.wg.Wait()
-}
+// Class passes the class through: the backends own the class set, and
+// their 400 for an unknown class fails the point.
+func (r *ringRunner) Class(name string) (string, error) { return name, nil }
 
-// submit plans the space and starts driving its points. Idempotent on the
-// canonical space: a second submission of the same design returns the
-// existing sweep with accepted=false and spawns nothing.
-func (fs *fleetSweeps) submit(space *hwgc.SweepSpace, class string) (sweep.Info, bool, error) {
-	canon, err := space.CanonicalJSON()
-	if err != nil {
-		return sweep.Info{}, false, err
-	}
-	id := hwgc.KeyBytes(canon)
-	points, err := space.Points()
-	if err != nil {
-		return sweep.Info{}, false, err
-	}
+// Cached reports nothing: the cache lives on the backends, and submitting a
+// cached point there dedupes onto its result anyway.
+func (r *ringRunner) Cached(string) ([]byte, bool) { return nil, false }
 
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if t, ok := fs.sweeps[id]; ok {
-		fs.metrics.NoteSweepDeduped()
-		return t.Info(), false, nil
+// Run submits the point to its ring owner, then polls its result with ring
+// failover. A 404 or 410 means the current owner does not (or no longer)
+// know the job — it died before its WAL record landed, the job migrated
+// mid-poll, or a direct client cancelled it — which the coordinator
+// resubmits. Transport turbulence (all breakers open, a fleet restart
+// window) is retried on the poll interval until ctx ends.
+func (r *ringRunner) Run(ctx context.Context, class string, p hwgc.SweepPoint) ([]byte, bool, error) {
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
 	}
-	t := sweep.NewTracker(id, space, class, points, fs.metrics, nil)
-	fs.sweeps[id] = t
-	ctx, cancel := context.WithCancel(context.Background())
-	fs.cancels[id] = cancel
-	fs.wg.Add(1)
-	go fs.run(ctx, t)
-	return t.Info(), true, nil
-}
-
-// run drives every point of one sweep under the inflight bound.
-func (fs *fleetSweeps) run(ctx context.Context, t *sweep.Tracker) {
-	defer fs.wg.Done()
-	sem := make(chan struct{}, sweepPointInflight)
-	var pwg sync.WaitGroup
-	for i := range t.Points {
-		select {
-		case <-ctx.Done():
-			pwg.Wait()
-			return
-		case <-fs.f.stop:
-			pwg.Wait()
-			return
-		case sem <- struct{}{}:
-		}
-		pwg.Add(1)
-		go func(index int) {
-			defer pwg.Done()
-			defer func() { <-sem }()
-			fs.drivePoint(ctx, t, index)
-		}(i)
-	}
-	pwg.Wait()
-}
-
-// submitPoint sends one point's job to its ring owner. Returns whether the
-// submission was freshly accepted (202) as opposed to deduped onto an
-// existing job (200).
-func (fs *fleetSweeps) submitPoint(ctx context.Context, t *sweep.Tracker, p hwgc.SweepPoint) (accepted bool, fatal string, err error) {
-	fwd := struct {
+	defer func() { <-r.sem }()
+	body, err := json.Marshal(struct {
 		Collect json.RawMessage
 		Class   string `json:",omitempty"`
-	}{Collect: p.Canonical, Class: t.Class}
-	body, err := json.Marshal(fwd)
+	}{Collect: p.Canonical, Class: class})
 	if err != nil {
-		return false, fmt.Sprintf("encoding point: %v", err), nil
+		return nil, false, fmt.Errorf("encoding point: %v", err)
 	}
-	res, err := fs.f.do(ctx, http.MethodPost, "/v1/jobs", p.Key, body)
-	if err != nil {
-		return false, "", err
-	}
-	switch {
-	case res.status == http.StatusAccepted, res.status == http.StatusOK:
-		// Remember the canonical submission so the elastic rebalance pass
-		// can rescue this point from a dead owner, exactly like a directly
-		// submitted job.
-		fs.f.registry.Record(p.Key, body)
-		return res.status == http.StatusAccepted, "", nil
-	case res.status >= 400 && res.status < 500:
-		return false, fmt.Sprintf("point rejected: status %d: %s", res.status, res.body), nil
-	default:
-		return false, "", fmt.Errorf("point submit status %d", res.status)
-	}
-}
-
-// drivePoint runs one point to a terminal tracker transition: submit the
-// job to its content-key owner, then poll its result with ring failover,
-// resubmitting (bounded) when the current owner no longer knows the job.
-func (fs *fleetSweeps) drivePoint(ctx context.Context, t *sweep.Tracker, index int) {
-	p := t.Points[index]
-	resubmits := 0
-	accepted, fatal, err := fs.submitPoint(ctx, t, p)
-	for err != nil {
-		// Transport-level turbulence (all breakers open, fleet restart
-		// window): back off on the poll interval and try again until the
-		// sweep is cancelled.
-		if sleepErr := fs.f.sleep(ctx, fs.f.opts.SweepPoll); sleepErr != nil {
-			fs.cancelPoint(t, index)
-			return
-		}
-		accepted, fatal, err = fs.submitPoint(ctx, t, p)
-	}
-	if fatal != "" {
-		fs.failPoint(t, index, fatal)
-		return
-	}
-	deduped := !accepted
-
+	var fresh bool
 	for {
-		if err := fs.f.sleep(ctx, fs.f.opts.SweepPoll); err != nil {
-			fs.cancelPoint(t, index)
-			return
-		}
-		res, err := fs.f.do(ctx, http.MethodGet, "/v1/jobs/"+p.Key+"/result", p.Key, nil)
-		switch {
-		case err == nil && res.status == http.StatusOK:
-			var resp hwgc.CollectResponse
-			if jerr := json.Unmarshal(res.body, &resp); jerr != nil {
-				fs.failPoint(t, index, fmt.Sprintf("decoding point result: %v", jerr))
-				return
-			}
-			fs.completePoint(t, index, sweep.PointOutcome{
-				Index: index, Key: p.Key, Req: p.Req, Result: resp.Result,
-			}, deduped)
-			return
-		case err == nil && res.status == http.StatusAccepted:
-			// Still running on its owner.
-		case err == nil && (res.status == http.StatusNotFound || res.status == http.StatusGone):
-			// The ring owner does not (or no longer) know the job: it died
-			// before the WAL record landed, the job migrated mid-poll, or a
-			// direct client cancelled it. Idempotent resubmission re-homes
-			// the point on the current owner.
-			if resubmits >= maxSweepResubmits {
-				fs.failPoint(t, index, fmt.Sprintf("point lost after %d resubmits: status %d", resubmits, res.status))
-				return
-			}
-			resubmits++
-			if acc, fatal2, serr := fs.submitPoint(ctx, t, p); serr == nil {
-				if fatal2 != "" {
-					fs.failPoint(t, index, fatal2)
-					return
-				}
-				if acc {
-					deduped = false
-					fs.noteJobSubmitted(t)
-				}
-			}
-		case err == nil && res.status == http.StatusBadGateway:
-			// The owner answered authoritatively: the job itself failed.
-			fs.failPoint(t, index, fmt.Sprintf("point failed: %s", res.body))
-			return
-		case ctx.Err() != nil:
-			fs.cancelPoint(t, index)
-			return
-			// Everything else — 5xx routing turbulence, ErrNoBackends while
-			// breakers cool down, attempt exhaustion — is transient during
-			// topology changes; the next poll retries.
-		}
-	}
-}
-
-// Tracker transitions run under the sweep-table lock (the Tracker itself is
-// lock-free by contract).
-func (fs *fleetSweeps) completePoint(t *sweep.Tracker, index int, o sweep.PointOutcome, deduped bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.CompletePoint(index, o, deduped)
-}
-
-func (fs *fleetSweeps) failPoint(t *sweep.Tracker, index int, msg string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.FailPoint(index, msg)
-}
-
-func (fs *fleetSweeps) cancelPoint(t *sweep.Tracker, index int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.CancelPoint(index)
-}
-
-func (fs *fleetSweeps) noteJobSubmitted(t *sweep.Tracker) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.NoteJobSubmitted()
-}
-
-// get returns a sweep's progress snapshot.
-func (fs *fleetSweeps) get(id string) (sweep.Info, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t, ok := fs.sweeps[id]
-	if !ok {
-		return sweep.Info{}, false
-	}
-	return t.Info(), true
-}
-
-// cancel stops a running sweep: every pending point transitions to
-// cancelled immediately (so the terminal state is deterministic), the point
-// drivers are torn down, and the points' backend jobs are cancelled
-// best-effort — skipping any job another live sweep still depends on.
-func (fs *fleetSweeps) cancel(id string) (sweep.Info, bool, error) {
-	fs.mu.Lock()
-	t, ok := fs.sweeps[id]
-	if !ok {
-		fs.mu.Unlock()
-		return sweep.Info{}, false, sweep.ErrNotFound
-	}
-	if t.Terminal() {
-		info := t.Info()
-		fs.mu.Unlock()
-		return info, false, sweep.ErrTerminal
-	}
-	t.MarkCancelRequested()
-	pending := t.PendingKeys()
-	shared := make(map[string]bool)
-	for oid, other := range fs.sweeps {
-		if oid == id || other.Terminal() {
-			continue
-		}
-		for _, k := range other.PendingKeys() {
-			shared[k] = true
-		}
-	}
-	if cancel, ok := fs.cancels[id]; ok {
+		// The submission runs to its reply even when ctx ends mid-exchange,
+		// so a Cancel that follows this Run reaches the owner after it.
+		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), r.f.opts.Timeout)
+		res, err := r.f.do(sctx, http.MethodPost, "/v1/jobs", p.Key, body)
 		cancel()
-		delete(fs.cancels, id)
-	}
-	for i := range t.Points {
-		t.CancelPoint(i)
-	}
-	info := t.Info()
-	fs.mu.Unlock()
-
-	fs.wg.Add(1)
-	go func() {
-		defer fs.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), fs.f.opts.Timeout)
-		defer cancel()
-		for _, k := range pending {
-			if shared[k] {
-				continue
-			}
-			_, _ = fs.f.do(ctx, http.MethodDelete, "/v1/jobs/"+k, k, nil)
+		if err == nil && (res.status == http.StatusAccepted || res.status == http.StatusOK) {
+			// Remember the canonical submission so the elastic rebalance
+			// pass can rescue this point from a dead owner, exactly like a
+			// directly submitted job.
+			r.f.registry.Record(p.Key, body)
+			fresh = res.status == http.StatusAccepted
+			break
 		}
-	}()
-	return info, true, nil
-}
-
-// handleSweeps serves POST /v1/sweeps at the fleet: plan locally, fan the
-// points out to their cache-owning backends, aggregate here.
-func (f *Fleet) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	raw, err := readAll(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	var body struct {
-		Space *hwgc.SweepSpace
-		Class string `json:",omitempty"`
-	}
-	if err := json.Unmarshal(raw, &body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	if body.Space == nil {
-		writeError(w, http.StatusBadRequest, "Space must be set")
-		return
-	}
-	if err := body.Space.Canonicalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep space: %v", err)
-		return
-	}
-	info, accepted, err := f.sweeps.submit(body.Space, body.Class)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "submitting sweep: %v", err)
-		return
-	}
-	code := http.StatusOK
-	if accepted {
-		code = http.StatusAccepted
-	}
-	w.Header().Set("Location", "/v1/sweeps/"+info.ID)
-	writeSweepInfoFleet(w, code, info)
-}
-
-// handleSweepByID routes /v1/sweeps/{id} and /v1/sweeps/{id}/events at the
-// fleet. Sweeps are aggregated at the proxy, so these serve local state —
-// no backend round trip.
-func (f *Fleet) handleSweepByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/sweeps/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" || strings.Contains(sub, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			info, ok := f.sweeps.get(id)
-			if !ok {
-				writeError(w, http.StatusNotFound, "no such sweep %q", id)
-				return
-			}
-			writeSweepInfoFleet(w, http.StatusOK, info)
-		case http.MethodDelete:
-			info, ok, err := f.sweeps.cancel(id)
-			switch {
-			case err == sweep.ErrNotFound:
-				writeError(w, http.StatusNotFound, "no such sweep %q", id)
-			case err == sweep.ErrTerminal:
-				writeError(w, http.StatusConflict, "sweep %s is already %s", id, info.State)
-			case !ok:
-				writeError(w, http.StatusInternalServerError, "cancelling sweep: %v", err)
-			default:
-				writeSweepInfoFleet(w, http.StatusOK, info)
-			}
-		default:
-			w.Header().Set("Allow", "GET, DELETE")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
+		if err == nil && res.status >= 400 && res.status < 500 {
+			return nil, false, fmt.Errorf("point rejected: status %d: %s", res.status, res.body)
 		}
-	case "events":
-		if !requireGetFleet(w, r) {
-			return
+		if err := r.f.sleep(ctx, r.f.opts.SweepPoll); err != nil {
+			return nil, false, err
 		}
-		f.serveSweepEventsFleet(w, r, id)
-	default:
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
-	}
-}
-
-func writeSweepInfoFleet(w http.ResponseWriter, code int, info sweep.Info) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(info)
-}
-
-// fleetLastEventID mirrors the backend's SSE resume contract: the
-// Last-Event-ID header a reconnecting EventSource sends, with
-// ?last_event_id= as a curl-friendly fallback.
-func fleetLastEventID(r *http.Request) int64 {
-	v := r.Header.Get("Last-Event-ID")
-	if v == "" {
-		v = r.URL.Query().Get("last_event_id")
-	}
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// serveSweepEventsFleet streams the aggregated sweep's events as SSE from
-// the proxy's own tracker — same wire format and Last-Event-ID resume
-// semantics as one gcserved.
-func (f *Fleet) serveSweepEventsFleet(w http.ResponseWriter, r *http.Request, id string) {
-	f.sweeps.mu.Lock()
-	t, ok := f.sweeps.sweeps[id]
-	f.sweeps.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such sweep %q", id)
-		return
-	}
-	fl, flok := w.(http.Flusher)
-	if !flok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	history, live := t.Events.Subscribe()
-	defer t.Events.Unsubscribe(live)
-	resumeFrom := fleetLastEventID(r)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	write := func(ev sweep.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return true
-		}
-		fl.Flush()
-		return ev.Type == sweep.StateDone || ev.Type == sweep.StateCancelled
-	}
-	for _, ev := range history {
-		if ev.Seq <= resumeFrom {
-			continue
-		}
-		if write(ev) {
-			return
-		}
-	}
-	if live == nil {
-		return
 	}
 	for {
-		select {
-		case ev, ok := <-live:
-			if !ok || write(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-f.stop:
-			return
+		if err := r.f.sleep(ctx, r.f.opts.SweepPoll); err != nil {
+			return nil, fresh, err
+		}
+		// A 202 (still running) and every routing error — 5xx turbulence,
+		// ErrNoBackends while breakers cool down, attempt exhaustion — leave
+		// the point to the next poll: they are transient during topology
+		// changes.
+		res, err := r.f.do(ctx, http.MethodGet, "/v1/jobs/"+p.Key+"/result", p.Key, nil)
+		switch {
+		case err != nil:
+		case res.status == http.StatusOK:
+			return res.body, fresh, nil
+		case res.status == http.StatusNotFound, res.status == http.StatusGone:
+			return nil, fresh, fmt.Errorf("%w: status %d", sweep.ErrLost, res.status)
+		case res.status == http.StatusBadGateway:
+			// The owner answered authoritatively: the job itself failed.
+			return nil, fresh, fmt.Errorf("point failed: %s", res.body)
 		}
 	}
+}
+
+// Cancel deletes the point's job on its owner, best effort.
+func (r *ringRunner) Cancel(key string) {
+	ctx, cancel := context.WithTimeout(context.Background(), r.f.opts.Timeout)
+	defer cancel()
+	_, _ = r.f.do(ctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hwgc"
 	"hwgc/internal/sweep"
 )
 
@@ -234,6 +235,113 @@ func TestFleetSweepEndToEnd(t *testing.T) {
 		if !strings.Contains(mbuf.String(), want) {
 			t.Errorf("fleet metrics missing %q", want)
 		}
+	}
+
+	// Cancelling a running sweep: 200, the stream ends on "cancelled", and
+	// every backend job of a point not shared with another live sweep
+	// stops. The two points a second sweep shares keep running and
+	// complete that sweep.
+	// javac points take tens of milliseconds each, so the cancel lands
+	// while most of the in-flight point jobs still wait in backend queues.
+	const bigBody = `{"Space":{"Benches":["javac"],"Seeds":[41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56],"Base":{},"Axes":[{"Field":"Cores","Values":[1,2]}]}}`
+	const sharedBody = `{"Space":{"Benches":["javac"],"Seeds":[41],"Base":{},"Axes":[{"Field":"Cores","Values":[1,2]}]}}`
+	bres, big := postSweepFleet(t, client, fleet.URL, bigBody)
+	if bres.StatusCode != http.StatusAccepted || big.Points != 32 {
+		t.Fatalf("big submit: status %d info %+v", bres.StatusCode, big)
+	}
+	shres, shared := postSweepFleet(t, client, fleet.URL, sharedBody)
+	if shres.StatusCode != http.StatusAccepted || shared.Points != 2 {
+		t.Fatalf("shared submit: status %d info %+v", shres.StatusCode, shared)
+	}
+	var sharedReq struct{ Space *hwgc.SweepSpace }
+	if err := json.Unmarshal([]byte(sharedBody), &sharedReq); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharedReq.Space.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	sharedPoints, err := sharedReq.Space.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedKeys := map[string]bool{}
+	for _, p := range sharedPoints {
+		sharedKeys[p.Key] = true
+	}
+	backendJobs := func(query string) []jobInfoBody {
+		t.Helper()
+		var all []jobInfoBody
+		for _, u := range urls {
+			res, err := client.Get(u + "/v1/jobs" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var list struct{ Jobs []jobInfoBody }
+			err = json.NewDecoder(res.Body).Decode(&list)
+			res.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, list.Jobs...)
+		}
+		return all
+	}
+	// Cancel only once the backends hold jobs for the sweep's points.
+	for end := time.Now().Add(30 * time.Second); len(backendJobs("?active=true")) == 0; {
+		if time.Now().After(end) {
+			t.Fatal("no point job reached a backend")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	creq, _ := http.NewRequest(http.MethodDelete, fleet.URL+"/v1/sweeps/"+big.ID, nil)
+	cres, err := client.Do(creq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres.Body.Close()
+	if cres.StatusCode != http.StatusOK {
+		t.Fatalf("cancel running sweep: status %d, want 200", cres.StatusCode)
+	}
+	evRes, err := client.Get(fleet.URL + "/v1/sweeps/" + big.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := readFrames(evRes, 0)
+	evRes.Body.Close()
+	if len(frames) == 0 || frames[len(frames)-1].event != sweep.StateCancelled {
+		t.Fatalf("cancelled sweep stream ended on %+v", frames[len(frames)-1:])
+	}
+	cfinal := awaitSweepInfo(t, client, fleet.URL, big.ID, 60*time.Second, nil)
+	if cfinal.State != sweep.StateCancelled || cfinal.Cancelled == 0 ||
+		cfinal.Completed+cfinal.Failed+cfinal.Cancelled != cfinal.Points {
+		t.Fatalf("cancelled sweep info = %+v", cfinal)
+	}
+	if sfinal := awaitSweepInfo(t, client, fleet.URL, shared.ID, 60*time.Second, nil); sfinal.State != sweep.StateDone || sfinal.Completed != 2 {
+		t.Fatalf("sharing sweep info = %+v", sfinal)
+	}
+	// Only the shared points' jobs may outlive the cancel, and those are
+	// done by now: no backend keeps an active job, and the unshared point
+	// jobs the cancel caught unfinished ended cancelled, not done.
+	for end := time.Now().Add(60 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		active := backendJobs("?active=true")
+		if len(active) == 0 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("backends still run jobs of a cancelled sweep: %+v", active)
+		}
+	}
+	cancelledJobs := 0
+	for _, j := range backendJobs("") {
+		switch {
+		case sharedKeys[j.ID] && j.State != "done":
+			t.Errorf("shared point job %s is %s, want done", j.ID, j.State)
+		case !sharedKeys[j.ID] && j.State == "cancelled":
+			cancelledJobs++
+		}
+	}
+	if cancelledJobs == 0 {
+		t.Error("the cancel stopped no backend job")
 	}
 }
 

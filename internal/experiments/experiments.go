@@ -10,8 +10,6 @@ import (
 	"fmt"
 
 	"hwgc/internal/core"
-	"hwgc/internal/gcconc"
-	"hwgc/internal/gcnuma"
 	"hwgc/internal/machine"
 	"hwgc/internal/mutator"
 	"hwgc/internal/stats"
@@ -536,7 +534,7 @@ func SeedRobustness(benches []string, seeds []int64, o Options) ([]SeedStats, er
 }
 
 // BarrierRow is one (benchmark, barrier mode) line of the write-barrier
-// comparison: the gcconc scenario family's cycle-accurate answer to "what
+// comparison: the barrier scenario family's cycle-accurate answer to "what
 // does each barrier discipline cost, and how much garbage does it float".
 type BarrierRow struct {
 	Bench              string
@@ -562,17 +560,17 @@ func Barriers(benches []string, cores int, o Options) ([]BarrierRow, error) {
 	for _, b := range benches {
 		base := o.Base
 		base.Cores = cores
-		cmp, err := gcconc.Compare(b, o.Scale, o.Seed, base, o.Verify)
+		stw, runs, err := barrierFamily.run(b, o.Scale, o.Seed, base, o.Verify)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range cmp.Rows {
-			ms := r.Stats.Mutator
+		for i, st := range runs {
+			ms := st.Mutator
 			rows = append(rows, BarrierRow{
 				Bench:              b,
-				Mode:               gcconc.Label(r.Scenario.Config.BarrierMode),
-				STWPause:           cmp.STW.Cycles,
-				Cycles:             r.Stats.Cycles,
+				Mode:               barrierFamily.modes[i],
+				STWPause:           stw.Cycles,
+				Cycles:             st.Cycles,
 				MutOps:             ms.Ops,
 				BarrierInvocations: ms.BarrierInvocations,
 				BarrierCycles:      ms.BarrierCycles,
@@ -586,7 +584,7 @@ func Barriers(benches []string, cores int, o Options) ([]BarrierRow, error) {
 }
 
 // NUMARow is one (benchmark, core count, placement mode) line of the
-// locality comparison: the gcnuma scenario family's answer to "how much of
+// locality comparison: the NUMA scenario family's answer to "how much of
 // the collector's DRAM traffic crosses a domain boundary, and what does
 // locality-aware tospace placement buy back".
 type NUMARow struct {
@@ -614,7 +612,7 @@ func (r NUMARow) Slowdown() float64 {
 // collected at each core count on the flat machine and on a NUMA machine
 // under naive and locality-aware tospace placement, comparing remote-access
 // fractions and cycle counts. Rows are grouped by benchmark, then core
-// count, then gcnuma.Modes() order.
+// count, then flat, naive, local.
 func NUMA(benches []string, coreCounts []int, o Options) ([]NUMARow, error) {
 	o = o.norm()
 	var rows []NUMARow
@@ -622,22 +620,21 @@ func NUMA(benches []string, coreCounts []int, o Options) ([]NUMARow, error) {
 		for _, cores := range coreCounts {
 			base := o.Base
 			base.Cores = cores
-			cmp, err := gcnuma.Compare(b, o.Scale, o.Seed, base, o.Verify)
+			flat, runs, err := numaFamily.run(b, o.Scale, o.Seed, base, o.Verify)
 			if err != nil {
 				return nil, err
 			}
-			flat := cmp.Flat().Stats.Cycles
-			for _, r := range cmp.Rows {
+			for i, st := range runs {
 				rows = append(rows, NUMARow{
 					Bench:           b,
 					Cores:           cores,
-					Mode:            gcnuma.Label(r.Scenario.Mode),
-					Cycles:          r.Stats.Cycles,
-					FlatCycles:      flat,
-					LocalAccesses:   r.Stats.Mem.LocalAccesses,
-					RemoteAccesses:  r.Stats.Mem.RemoteAccesses,
-					RemoteFraction:  r.RemoteFraction(),
-					DomainConflicts: r.Stats.Mem.DomainConflicts,
+					Mode:            numaFamily.modes[i],
+					Cycles:          st.Cycles,
+					FlatCycles:      flat.Cycles,
+					LocalAccesses:   st.Mem.LocalAccesses,
+					RemoteAccesses:  st.Mem.RemoteAccesses,
+					RemoteFraction:  remoteFraction(st),
+					DomainConflicts: st.Mem.DomainConflicts,
 				})
 			}
 		}

@@ -35,6 +35,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hwgc/internal/stream"
 )
 
 // State is a job's position in its lifecycle.
@@ -145,7 +147,7 @@ type Info struct {
 }
 
 // Event is one job lifecycle notification, streamed over SSE by
-// GET /v1/jobs/{id}/events.
+// GET /v1/jobs/{id}/events with the State as the event name.
 type Event struct {
 	Seq   int64
 	Time  time.Time
@@ -153,4 +155,22 @@ type Event struct {
 	Point int
 	Cycle int64
 	Error string `json:",omitempty"`
+}
+
+// Stamped implements stream.Event.
+func (ev Event) Stamped(seq int64, at time.Time) Event {
+	ev.Seq, ev.Time = seq, at
+	return ev
+}
+
+// Frame implements stream.Event: a terminal state ends the stream.
+func (ev Event) Frame() (int64, string, bool) { return ev.Seq, string(ev.State), ev.State.Terminal() }
+
+// newEventLog returns an empty job event log. Its replay history keeps the
+// newest 256 events — sweep jobs emit one per point transition and
+// preemption, so that covers MaxSweepPoints plus preemption storms — and a
+// subscriber that stops draining (a stalled SSE client) loses events rather
+// than blocking the runner: the WAL is the authoritative record.
+func newEventLog(clock func() time.Time) *stream.Log[Event] {
+	return stream.NewLog[Event](256, 32, clock)
 }

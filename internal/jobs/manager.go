@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/stream"
 )
 
 // Sentinel errors returned by the Manager's lookup and transition methods.
@@ -53,9 +54,9 @@ type Options struct {
 	// Aging is the scheduler's anti-starvation bonus per losing pick;
 	// non-positive selects the default.
 	Aging float64
-	// OnResult, when set, is called (outside manager locks) with every
-	// completed job's ID and encoded result body — gcserved uses it to
-	// populate the synchronous result cache.
+	// OnResult, when set, is called (outside manager locks, before the job
+	// reads as done) with every completed job's ID and encoded result body
+	// — gcserved uses it to populate the synchronous result cache.
 	OnResult func(id string, body []byte)
 	// CheckpointHook, when set, is called after every checkpoint save with
 	// no locks held; tests use it to make preemption and crashes
@@ -108,7 +109,12 @@ type job struct {
 	migrateOut atomic.Bool  // a cancel is a migration handoff, not a user cancel
 	exporting  atomic.Int32 // exporters waiting for a checkpoint-boundary park
 	parked     bool         // held out of sched for an exporter (guarded by m.mu)
-	events     *eventLog
+	events     *stream.Log[Event]
+}
+
+// emit records one lifecycle event on the job's stream.
+func (j *job) emit(state State, point int, cycle int64, errMsg string) {
+	j.events.Emit(Event{State: state, Point: point, Cycle: cycle, Error: errMsg})
 }
 
 // Manager owns the job table, the WAL, the scheduler and the runner pool.
@@ -338,7 +344,7 @@ func (m *Manager) recover(recs []walRecord) error {
 	}
 	for _, id := range m.order {
 		j := m.jobs[id]
-		j.events.emit(j.State, j.Point, j.Cycle, j.ErrMsg)
+		j.emit(j.State, j.Point, j.Cycle, j.ErrMsg)
 	}
 	return nil
 }
@@ -493,7 +499,7 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 			return Info{}, false, err
 		}
 		m.metrics.submitted.Add(1)
-		j.events.emit(StateQueued, j.Point, 0, "")
+		j.emit(StateQueued, j.Point, 0, "")
 	case ok:
 		m.metrics.deduped.Add(1)
 		info := m.infoLocked(j)
@@ -522,7 +528,7 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 			return Info{}, false, err
 		}
 		m.metrics.submitted.Add(1)
-		j.events.emit(StateQueued, 0, 0, "")
+		j.emit(StateQueued, 0, 0, "")
 	}
 	info := m.infoLocked(j)
 	m.mu.Unlock()
@@ -588,22 +594,22 @@ func (m *Manager) runJob(j *job) {
 	_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateRunning, Point: j.Point, At: now})
 	m.running[j.ID] = j
 	m.metrics.running.Add(1)
-	j.events.emit(StateRunning, j.Point, j.Cycle, "")
+	j.emit(StateRunning, j.Point, j.Cycle, "")
 	m.mu.Unlock()
 
 	body, err := m.execute(j, rcx)
+	if cb := m.opts.OnResult; err == nil && cb != nil {
+		// Before the done state becomes visible: a client that sees the job
+		// done must also find its result wherever OnResult puts it.
+		cb(j.ID, body)
+	}
 
 	m.mu.Lock()
 	delete(m.running, j.ID)
 	m.metrics.running.Add(-1)
-	var notify func()
 	switch {
 	case err == nil:
 		m.finishLocked(j, StateDone, body, "")
-		if cb := m.opts.OnResult; cb != nil {
-			id := j.ID
-			notify = func() { cb(id, body) }
-		}
 	case errors.Is(err, errCancelled):
 		m.finishLocked(j, cancelOutcome(j), nil, "")
 	case errors.Is(err, errPreempted):
@@ -611,7 +617,7 @@ func (m *Manager) runJob(j *job) {
 		j.Preemptions++
 		m.metrics.preemptions.Add(1)
 		_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Point: j.Point, Cycle: j.Cycle, At: m.opts.Clock()})
-		j.events.emit(StateCheckpointed, j.Point, j.Cycle, "")
+		j.emit(StateCheckpointed, j.Point, j.Cycle, "")
 		if j.exporting.Load() > 0 {
 			// An Export is waiting for exactly this park: hand the job over
 			// instead of racing it back into the scheduler, where an idle
@@ -627,9 +633,6 @@ func (m *Manager) runJob(j *job) {
 		m.finishLocked(j, StateFailed, nil, err.Error())
 	}
 	m.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 }
 
 // cancelOutcome maps a cancelled job to its terminal state: a cancel raised
@@ -669,7 +672,7 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 		j.HasCkpt = false
 		os.Remove(m.ckptPath(j.ID))
 	}
-	j.events.emit(state, j.Point, j.Cycle, errMsg)
+	j.emit(state, j.Point, j.Cycle, errMsg)
 }
 
 func (m *Manager) execute(j *job, rcx *runCtx) ([]byte, error) {
@@ -748,7 +751,7 @@ func (m *Manager) executeSweep(j *job, rcx *runCtx) ([]byte, error) {
 		j.HasCkpt = false
 		_ = m.wal.Append(walRecord{Type: recPoint, ID: j.ID, Point: point, Result: resJSON, At: m.opts.Clock()})
 		if point < len(sr.Cores)-1 {
-			j.events.emit(StateRunning, j.Point, 0, "")
+			j.emit(StateRunning, j.Point, 0, "")
 		}
 		m.mu.Unlock()
 		if removeCkpt {
@@ -915,8 +918,8 @@ func (m *Manager) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
 	}
 	ev := j.events
 	m.mu.Unlock()
-	history, ch := ev.subscribe()
-	return history, ch, func() { ev.unsubscribe(ch) }, nil
+	history, ch, stop := ev.Subscribe()
+	return history, ch, stop, nil
 }
 
 // AppendAux durably appends one auxiliary record to the jobs WAL. The

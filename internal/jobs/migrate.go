@@ -184,8 +184,7 @@ func (m *Manager) Export(ctx context.Context, id string) (*ExportedJob, error) {
 			// flag is re-set on every wakeup — the StateRunning event is
 			// emitted after the clear, which makes the re-set stick.
 			j.preempt.Store(true)
-			ev := j.events
-			_, ch := ev.subscribe() // under m.mu: no missed-transition window
+			_, ch, stop := j.events.Subscribe() // under m.mu: no missed-transition window
 			m.mu.Unlock()
 			if ch == nil {
 				continue // already terminal; the loop top classifies it
@@ -193,10 +192,10 @@ func (m *Manager) Export(ctx context.Context, id string) (*ExportedJob, error) {
 			select {
 			case <-ch:
 			case <-ctx.Done():
-				ev.unsubscribe(ch)
+				stop()
 				return nil, ctx.Err()
 			}
-			ev.unsubscribe(ch)
+			stop()
 		}
 	}
 }
@@ -306,7 +305,7 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		}
 	}
 	m.metrics.imports.Add(1)
-	j.events.emit(j.State, j.Point, j.Cycle, "")
+	j.emit(j.State, j.Point, j.Cycle, "")
 	info := m.infoLocked(j)
 	m.mu.Unlock()
 	if notify != nil {

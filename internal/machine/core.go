@@ -218,7 +218,7 @@ func (c *core) step() {
 // the counter up front and the core sleeps — the cycle loop skips its step —
 // until the cycle the data becomes visible. The accounting is arithmetic
 // identical to stepping through every waiting cycle; like the event-driven
-// fast-forward it is disabled under a Probe, a concurrent mutator, or
+// fast-forward it is disabled under a probe, a concurrent mutator, or
 // NoFastForward (m.microSleep).
 func (c *core) stallOnLoad(doneAt int64, counter *int64) {
 	*counter++

@@ -34,7 +34,7 @@ import (
 //     by another core, observing an empty work list (with its busy bit
 //     already cleared and termination not yet reached), idling at an
 //     incomplete barrier, counting down startup, or done;
-//   - the per-cycle Probe hook is nil (internal/trace samples signals every
+//   - no per-cycle probe is attached (internal/trace samples signals every
 //     cycle) and no concurrent mutator is attached (it executes an operation
 //     stream on its own port every cycle).
 //

@@ -66,18 +66,11 @@ type Machine struct {
 	// computed once per Collect.
 	microSleep bool
 
-	// Probe, when non-nil, is invoked after every simulated clock cycle;
-	// the monitoring framework (internal/trace) uses it to sample signals.
-	// Probe is the original single-slot hook, kept working for existing
-	// callers; new code should prefer AddProbe, which multiplexes any number
-	// of observers. When both are set, Probe fires before the AddProbe list.
-	Probe func(cycle int64, m *Machine)
-
 	// probes holds the observers registered via AddProbe, invoked in
-	// registration order after every cycle (after the legacy Probe).
+	// registration order after every cycle.
 	probes []func(cycle int64, m *Machine)
 
-	// NoFastForward forces per-cycle stepping even when no Probe is
+	// NoFastForward forces per-cycle stepping even when no probe is
 	// attached. The determinism suite uses it to check that fast-forwarded
 	// collections are bit-identical to stepped ones. It deliberately lives
 	// on the Machine rather than in Config: Stats embeds the Config, which
@@ -164,10 +157,10 @@ const (
 	phaseDone                        // terminated, awaiting FinishCollect
 )
 
-// AddProbe registers an additional per-cycle observer, invoked after every
-// simulated clock cycle in registration order (after the legacy Probe
-// field, if set). Like Probe, any registered observer forces full per-cycle
-// stepping — fast-forward and micro-sleep are disabled so every cycle is
+// AddProbe registers a per-cycle observer, invoked after every simulated
+// clock cycle in registration order; the monitoring framework
+// (internal/trace) uses one to sample signals. Any registered observer
+// forces full per-cycle stepping — fast-forward and micro-sleep are disabled so every cycle is
 // observable. Probes registered mid-collection take effect from the next
 // cycle; they are not captured by Snapshot.
 func (m *Machine) AddProbe(p func(cycle int64, m *Machine)) {
@@ -178,18 +171,14 @@ func (m *Machine) AddProbe(p func(cycle int64, m *Machine)) {
 	m.microSleep = false
 }
 
-// ClearProbes removes every observer registered with AddProbe (the legacy
-// Probe field is untouched).
+// ClearProbes removes every observer registered with AddProbe.
 func (m *Machine) ClearProbes() { m.probes = nil }
 
 // probing reports whether any per-cycle observer is attached.
-func (m *Machine) probing() bool { return m.Probe != nil || len(m.probes) > 0 }
+func (m *Machine) probing() bool { return len(m.probes) > 0 }
 
-// fireProbes invokes the legacy Probe and then the AddProbe observers.
+// fireProbes invokes the AddProbe observers.
 func (m *Machine) fireProbes() {
-	if m.Probe != nil {
-		m.Probe(m.cycle, m)
-	}
 	for _, p := range m.probes {
 		p(m.cycle, m)
 	}

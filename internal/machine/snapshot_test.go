@@ -240,8 +240,8 @@ func TestSnapshotPhaseErrors(t *testing.T) {
 	}
 }
 
-// TestAddProbeMultiplexes checks that multiple AddProbe observers and the
-// legacy Probe field all fire, in order, every cycle.
+// TestAddProbeMultiplexes checks that multiple AddProbe observers all fire,
+// in registration order, every cycle.
 func TestAddProbeMultiplexes(t *testing.T) {
 	h := buildBench(t, "jlisp", 1)
 	m, err := New(h, Config{Cores: 2})
@@ -249,13 +249,13 @@ func TestAddProbeMultiplexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	var legacy, a, b int64
-	m.Probe = func(cycle int64, _ *Machine) {
-		legacy++
+	var first, a, b int64
+	m.AddProbe(func(cycle int64, _ *Machine) {
+		first++
 		if len(order) < 3 {
-			order = append(order, "legacy")
+			order = append(order, "first")
 		}
-	}
+	})
 	m.AddProbe(func(cycle int64, _ *Machine) {
 		a++
 		if len(order) < 3 {
@@ -267,15 +267,15 @@ func TestAddProbeMultiplexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy == 0 || legacy != a || a != b {
-		t.Fatalf("probe counts diverge: legacy=%d a=%d b=%d", legacy, a, b)
+	if first == 0 || first != a || a != b {
+		t.Fatalf("probe counts diverge: first=%d a=%d b=%d", first, a, b)
 	}
 	// Probes fire after every cycle except the final one.
-	if want := st.Cycles - m.cfg.ShutdownCycles - 1; legacy != want {
-		t.Fatalf("probes fired %d times, want %d", legacy, want)
+	if want := st.Cycles - m.cfg.ShutdownCycles - 1; first != want {
+		t.Fatalf("probes fired %d times, want %d", first, want)
 	}
-	if len(order) != 3 || order[0] != "legacy" || order[1] != "a" || order[2] != "legacy" {
-		t.Fatalf("probe order = %v, want legacy,a,legacy", order)
+	if len(order) != 3 || order[0] != "first" || order[1] != "a" || order[2] != "first" {
+		t.Fatalf("probe order = %v, want first,a,first", order)
 	}
 	m.ClearProbes()
 	if len(m.probes) != 0 {

@@ -21,7 +21,7 @@ type probeRecorder struct {
 }
 
 func (p *probeRecorder) attach(m *Machine) {
-	m.Probe = func(cycle int64, m *Machine) {
+	m.AddProbe(func(cycle int64, m *Machine) {
 		sb := m.SB()
 		if sb.ScanOwner() >= 0 {
 			p.scanOwnerCycles++
@@ -45,7 +45,7 @@ func (p *probeRecorder) attach(m *Machine) {
 			fmt.Fprintf(&b, " scan=%d free=%d", sb.Scan(), sb.Free())
 			p.states = append(p.states, b.String())
 		}
-	}
+	})
 }
 
 // TestFreeLockHeldOneCycle pins the evacuation path's timing: the free lock

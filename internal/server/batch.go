@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hwgc"
+	"hwgc/internal/httpjson"
 )
 
 // maxBatchBodyBytes bounds /v1/batch bodies: up to MaxBatchItems inline
@@ -19,13 +20,13 @@ const maxBatchBodyBytes = 16 << 20
 // Multi-Status when any item failed.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/batch", true, func(w http.ResponseWriter, r *http.Request) {
-		if !requirePost(w, r) {
+		if !httpjson.Method(w, r, http.MethodPost) {
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
 		req, err := hwgc.DecodeBatchRequest(r.Body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid batch: %v", err)
+			httpjson.Error(w, http.StatusBadRequest, "invalid batch: %v", err)
 			return
 		}
 		resp := s.runBatch(r, req)

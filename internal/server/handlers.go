@@ -10,23 +10,13 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/httpjson"
 	"hwgc/internal/plan"
 )
 
 // maxBodyBytes bounds request bodies; inline plans are the only large
 // payloads and 8 MiB of JSON is already a ~100k-object graph.
 const maxBodyBytes = 8 << 20
-
-// errorBody is the JSON error envelope every non-2xx response carries.
-type errorBody struct {
-	Error string
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
-}
 
 // statusRecorder captures the final status code for the request counters.
 type statusRecorder struct {
@@ -65,7 +55,7 @@ func (s *Server) instrument(path string, observeLatency bool, h func(http.Respon
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := plan.DecodeStrict(r.Body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}
 	return true
@@ -81,15 +71,6 @@ func retryAfterSeconds(d time.Duration) int {
 		s = 1
 	}
 	return s
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-		return false
-	}
-	return true
 }
 
 // execute runs one canonicalized job through the shared serving path:
@@ -145,7 +126,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key, kind stri
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
 	}
-	writeError(w, code, "%s", msg)
+	httpjson.Error(w, code, "%s", msg)
 }
 
 func writeResult(w http.ResponseWriter, key, cacheState string, body []byte) {
@@ -158,7 +139,7 @@ func writeResult(w http.ResponseWriter, key, cacheState string, body []byte) {
 
 func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/collect", true, func(w http.ResponseWriter, r *http.Request) {
-		if !requirePost(w, r) {
+		if !httpjson.Method(w, r, http.MethodPost) {
 			return
 		}
 		var req hwgc.CollectRequest
@@ -167,11 +148,11 @@ func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
 		}
 		key, err := req.Key() // canonicalizes in place
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+			httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 			return
 		}
 		if s.opts.MaxScale > 0 && req.Scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
+			httpjson.Error(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
 			return
 		}
 		s.serveJob(w, r, key, "collect", func() ([]byte, error) { return s.runCollect(req) })
@@ -180,7 +161,7 @@ func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/sweep", true, func(w http.ResponseWriter, r *http.Request) {
-		if !requirePost(w, r) {
+		if !httpjson.Method(w, r, http.MethodPost) {
 			return
 		}
 		var req hwgc.SweepRequest
@@ -189,11 +170,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		key, err := req.Key() // canonicalizes in place
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+			httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 			return
 		}
 		if s.opts.MaxScale > 0 && req.Scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
+			httpjson.Error(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
 			return
 		}
 		s.serveJob(w, r, key, "sweep", func() ([]byte, error) { return s.runSweep(req) })
@@ -210,15 +191,10 @@ type workloadsBody struct {
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/workloads", false, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
+		if !httpjson.Method(w, r, http.MethodGet) {
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(workloadsBody{
+		httpjson.Write(w, http.StatusOK, workloadsBody{
 			Workloads:  hwgc.Workloads(),
 			Baselines:  hwgc.Baselines(),
 			CoreRange:  [2]int{1, 64},

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/httpjson"
 	"hwgc/internal/jobs"
 	"hwgc/internal/plan"
+	"hwgc/internal/stream"
 )
 
 // jobSubmitBody is the POST /v1/jobs request: exactly one of Collect or
@@ -21,15 +23,6 @@ type jobSubmitBody struct {
 	Collect *hwgc.CollectRequest `json:",omitempty"`
 	Sweep   *hwgc.SweepRequest   `json:",omitempty"`
 	Class   string               `json:",omitempty"`
-}
-
-// writeJobInfo serves a job Info snapshot as indented JSON.
-func writeJobInfo(w http.ResponseWriter, code int, info jobs.Info) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(info)
 }
 
 // jobListBody is the GET /v1/jobs response.
@@ -46,15 +39,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/jobs", false, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet {
 			active := r.URL.Query().Get("active") == "true"
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(jobListBody{Jobs: s.jobs.List(active)})
+			httpjson.Write(w, http.StatusOK, jobListBody{Jobs: s.jobs.List(active)})
 			return
 		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", "GET, POST")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or POST", r.URL.Path)
+			httpjson.Error(w, http.StatusMethodNotAllowed, "%s requires GET or POST", r.URL.Path)
 			return
 		}
 		var body jobSubmitBody
@@ -62,11 +52,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if (body.Collect == nil) == (body.Sweep == nil) {
-			writeError(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
+			httpjson.Error(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
 			return
 		}
 		if body.Class != "" && !s.jobs.HasClass(body.Class) {
-			writeError(w, http.StatusBadRequest, "unknown job class %q", body.Class)
+			httpjson.Error(w, http.StatusBadRequest, "unknown job class %q", body.Class)
 			return
 		}
 		var (
@@ -89,20 +79,20 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+			httpjson.Error(w, http.StatusBadRequest, "invalid request: %v", err)
 			return
 		}
 		if s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
+			httpjson.Error(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
 			return
 		}
 		info, accepted, err := s.jobs.Submit(kind, body.Class, canonical)
 		switch {
 		case errors.Is(err, jobs.ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+			httpjson.Error(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
 		case err != nil:
-			writeError(w, http.StatusInternalServerError, "submitting job: %v", err)
+			httpjson.Error(w, http.StatusInternalServerError, "submitting job: %v", err)
 			return
 		}
 		code := http.StatusOK // deduped onto an existing job
@@ -110,7 +100,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusAccepted
 		}
 		w.Header().Set("Location", "/v1/jobs/"+info.ID)
-		writeJobInfo(w, code, info)
+		httpjson.Write(w, code, info)
 	})(w, r)
 }
 
@@ -121,7 +111,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id, sub, _ := strings.Cut(rest, "/")
 	if id == "" || strings.Contains(sub, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 		return
 	}
 	switch sub {
@@ -134,19 +124,19 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 				s.serveJobCancel(w, id)
 			default:
 				w.Header().Set("Allow", "GET, DELETE")
-				writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
+				httpjson.Error(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
 			}
 		})(w, r)
 	case "result":
 		s.instrument("/v1/jobs/{id}/result", false, func(w http.ResponseWriter, r *http.Request) {
-			if !requireGet(w, r) {
+			if !httpjson.Method(w, r, http.MethodGet) {
 				return
 			}
 			s.serveJobResult(w, id)
 		})(w, r)
 	case "events":
 		s.instrument("/v1/jobs/{id}/events", false, func(w http.ResponseWriter, r *http.Request) {
-			if !requireGet(w, r) {
+			if !httpjson.Method(w, r, http.MethodGet) {
 				return
 			}
 			s.serveJobEvents(w, r, id)
@@ -162,11 +152,11 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 				s.serveJobRelease(w, id)
 			default:
 				w.Header().Set("Allow", "GET, PUT, DELETE")
-				writeError(w, http.StatusMethodNotAllowed, "%s requires GET, PUT or DELETE", r.URL.Path)
+				httpjson.Error(w, http.StatusMethodNotAllowed, "%s requires GET, PUT or DELETE", r.URL.Path)
 			}
 		})(w, r)
 	default:
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		httpjson.Error(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 	}
 }
 
@@ -202,7 +192,7 @@ func (s *Server) serveJobExport(w http.ResponseWriter, r *http.Request, id strin
 	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid wait %q: want a positive duration", v)
+			httpjson.Error(w, http.StatusBadRequest, "invalid wait %q: want a positive duration", v)
 			return
 		}
 		wait = min(d, exportWaitMax)
@@ -212,14 +202,14 @@ func (s *Server) serveJobExport(w http.ResponseWriter, r *http.Request, id strin
 	env, err := s.jobs.Export(ctx, id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		httpjson.Error(w, http.StatusNotFound, "no such job %q", id)
 	case errors.Is(err, jobs.ErrTerminal):
-		writeError(w, http.StatusConflict, "job %s is not exportable: %v", id, err)
+		httpjson.Error(w, http.StatusConflict, "job %s is not exportable: %v", id, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.opts.RetryAfter)))
-		writeError(w, http.StatusServiceUnavailable, "job %s did not reach a checkpoint boundary within %s", id, wait)
+		httpjson.Error(w, http.StatusServiceUnavailable, "job %s did not reach a checkpoint boundary within %s", id, wait)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "exporting job: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "exporting job: %v", err)
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(env)
@@ -235,35 +225,31 @@ func (s *Server) serveJobImport(w http.ResponseWriter, r *http.Request, id strin
 	r.Body = http.MaxBytesReader(w, r.Body, maxCheckpointBytes)
 	var env jobs.ExportedJob
 	if err := plan.DecodeStrict(r.Body, &env); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding checkpoint: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "decoding checkpoint: %v", err)
 		return
 	}
 	if env.ID != id {
-		writeError(w, http.StatusBadRequest, "envelope ID %s does not match URL job %s", env.ID, id)
+		httpjson.Error(w, http.StatusBadRequest, "envelope ID %s does not match URL job %s", env.ID, id)
 		return
 	}
 	if err := env.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid checkpoint: %v", err)
+		httpjson.Error(w, http.StatusBadRequest, "invalid checkpoint: %v", err)
 		return
 	}
 	info, accepted, err := s.jobs.Import(&env)
 	switch {
 	case errors.Is(err, jobs.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		httpjson.Error(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "importing checkpoint: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "importing checkpoint: %v", err)
 		return
 	}
 	code := http.StatusOK
 	if accepted {
 		code = http.StatusCreated
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(importReceipt{Info: info, Accepted: accepted, Point: env.Point, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
+	httpjson.Write(w, code, importReceipt{Info: info, Accepted: accepted, Point: env.Point, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
 }
 
 // serveJobRelease finishes a job locally as migrated after its envelope has
@@ -273,47 +259,38 @@ func (s *Server) serveJobRelease(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Release(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		httpjson.Error(w, http.StatusNotFound, "no such job %q", id)
 	case errors.Is(err, jobs.ErrTerminal):
-		writeError(w, http.StatusConflict, "job %s is already %s", id, info.State)
+		httpjson.Error(w, http.StatusConflict, "job %s is already %s", id, info.State)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "releasing job: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "releasing job: %v", err)
 	default:
-		writeJobInfo(w, http.StatusOK, info)
+		httpjson.Write(w, http.StatusOK, info)
 	}
-}
-
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
-		return false
-	}
-	return true
 }
 
 func (s *Server) serveJobInfo(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		httpjson.Error(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
-	writeJobInfo(w, http.StatusOK, info)
+	httpjson.Write(w, http.StatusOK, info)
 }
 
 func (s *Server) serveJobCancel(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Cancel(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		httpjson.Error(w, http.StatusNotFound, "no such job %q", id)
 	case errors.Is(err, jobs.ErrTerminal):
 		// Cancel raced completion: the job already reached a final state,
 		// which the 409 body reports so the client can fetch the result.
-		writeError(w, http.StatusConflict, "job %s is already %s", id, info.State)
+		httpjson.Error(w, http.StatusConflict, "job %s is already %s", id, info.State)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "cancelling job: %v", err)
+		httpjson.Error(w, http.StatusInternalServerError, "cancelling job: %v", err)
 	default:
-		writeJobInfo(w, http.StatusOK, info)
+		httpjson.Write(w, http.StatusOK, info)
 	}
 }
 
@@ -325,80 +302,33 @@ func (s *Server) serveJobResult(w http.ResponseWriter, id string) {
 	body, info, err := s.jobs.Result(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		httpjson.Error(w, http.StatusNotFound, "no such job %q", id)
 	case err == nil:
 		writeResult(w, id, "JOB", body)
 	case info.State == jobs.StateFailed:
-		writeError(w, http.StatusBadGateway, "job failed: %s", info.Error)
+		httpjson.Error(w, http.StatusBadGateway, "job failed: %s", info.Error)
 	case info.State == jobs.StateCancelled:
-		writeError(w, http.StatusGone, "job %s was cancelled", id)
+		httpjson.Error(w, http.StatusGone, "job %s was cancelled", id)
 	case info.State == jobs.StateMigrated:
 		// The fleet tier re-routes by content key; a direct client re-submits.
-		writeError(w, http.StatusGone, "job %s migrated to another backend", id)
+		httpjson.Error(w, http.StatusGone, "job %s migrated to another backend", id)
 	default:
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.opts.RetryAfter)))
-		writeJobInfo(w, http.StatusAccepted, info)
+		httpjson.Write(w, http.StatusAccepted, info)
 	}
 }
 
 // serveJobEvents streams a job's lifecycle as Server-Sent Events: the
 // replayable history first, then live transitions until the job reaches a
-// terminal state or the client disconnects. Every event carries its Seq as
-// the SSE id, the State as the event name, and the Event JSON as data. A
+// terminal state, the client disconnects or the server drains. A
 // reconnecting client resumes from its Last-Event-ID instead of replaying
 // from zero.
 func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, id string) {
 	history, live, stop, err := s.jobs.Subscribe(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		httpjson.Error(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
 	defer stop()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	resumeFrom := lastEventID(r)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// write emits one event and reports whether the stream is over (a
-	// terminal state, or a dead connection).
-	write := func(ev jobs.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.State, data); err != nil {
-			return true
-		}
-		fl.Flush()
-		return ev.State.Terminal()
-	}
-	for _, ev := range history {
-		if ev.Seq <= resumeFrom {
-			continue
-		}
-		if write(ev) {
-			return
-		}
-	}
-	if live == nil {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok || write(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-s.draining:
-			// Shutdown closes the stream; the history is replayable after
-			// restart, so the client reconnects and misses nothing.
-			return
-		}
-	}
+	stream.Serve(w, r, history, live, s.draining)
 }

@@ -226,10 +226,22 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.sweeps = coord
-		s.mux.HandleFunc("/v1/sweeps", s.handleSweeps)
-		s.mux.HandleFunc("/v1/sweeps/", s.handleSweepByID)
+		coord.Mount(s.mux, s.admitSpace, func(route string, h http.HandlerFunc) http.HandlerFunc {
+			return s.instrument(route, false, h)
+		})
 	}
 	return s, nil
+}
+
+// admitSpace applies the server-wide scale limit to a sweep space, exactly
+// as to single requests.
+func (s *Server) admitSpace(space *hwgc.SweepSpace) error {
+	for _, sc := range space.Scales {
+		if s.opts.MaxScale > 0 && sc > s.opts.MaxScale {
+			return fmt.Errorf("scale %d exceeds server limit %d", sc, s.opts.MaxScale)
+		}
+	}
+	return nil
 }
 
 func encodeCollect(req hwgc.CollectRequest) ([]byte, error) {
@@ -290,12 +302,6 @@ func (s *Server) Queue() *Queue { return s.queue }
 
 // Cache exposes the result cache (for tests).
 func (s *Server) Cache() *Cache { return s.cache }
-
-// Jobs exposes the async job manager (nil when JobsDir is unset).
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
-// Sweeps exposes the sweep coordinator (nil when JobsDir is unset).
-func (s *Server) Sweeps() *sweep.Coordinator { return s.sweeps }
 
 // Shutdown drains gracefully: admission stops (new jobs get 503), every
 // job already admitted is executed — except checkpointed collect jobs,

@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"hwgc"
@@ -18,6 +20,8 @@ var (
 	ErrNotFound = errors.New("sweep: no such sweep")
 	// ErrTerminal reports a cancel of an already-finished sweep.
 	ErrTerminal = errors.New("sweep: sweep already in a terminal state")
+	// ErrUnknownClass reports a job class the execution tier does not serve.
+	ErrUnknownClass = errors.New("sweep: unknown class")
 )
 
 // auxSweepTag and auxCancelTag are the jobs-WAL aux record tags the
@@ -36,14 +40,17 @@ type auxSweep struct {
 	Class string          `json:",omitempty"`
 }
 
-// maxPointResubmits bounds how often a point whose job terminated without a
-// result (cancelled externally, or migrated to another backend) is revived
-// before the point is declared failed.
-const maxPointResubmits = 5
+// maxPointResubmits bounds how often a point whose execution was lost — its
+// job cancelled by another client, migrated away, or forgotten by a backend
+// that died before its WAL record landed — is resubmitted before the point
+// is declared failed. Submission is idempotent on the content key, so a
+// resubmit never duplicates work that still exists anywhere; the bound only
+// rules out a livelock against a client cancelling in a loop.
+const maxPointResubmits = 16
 
-// Options configures a Coordinator.
+// Options configures a Coordinator over this node's job tier.
 type Options struct {
-	// Jobs executes the points. Required.
+	// Jobs executes the points and journals the sweeps. Required.
 	Jobs *jobs.Manager
 	// Lookup consults the serving tier's result cache before submitting a
 	// point as a job; a hit completes the point instantly (marked deduped).
@@ -53,143 +60,136 @@ type Options struct {
 	Clock func() time.Time
 }
 
-// Coordinator owns the sweep table on one gcserved node: it plans spaces,
-// dedupes points against cached results, submits the remainder as gcjobs
-// jobs, watches their terminal transitions, and maintains each sweep's
-// frontier and event stream. Sweep submissions and cancellations ride the
-// jobs WAL as aux records, so Recover rebuilds mid-flight sweeps after a
-// crash without re-running completed points (their jobs dedupe by content
-// key against the recovered job table and result cache).
+// Coordinator owns a sweep table: it plans spaces, completes points the
+// execution tier already holds, drives the rest through its PointRunner
+// (one goroutine per outstanding point, resubmitting lost executions), and
+// maintains each sweep's frontier and event stream. gcserved runs one over
+// its job tier, journaling submissions and cancellations as jobs-WAL aux
+// records so Recover rebuilds mid-flight sweeps after a crash; gcfleet runs
+// one over the backend ring with no journal of its own.
 type Coordinator struct {
-	opts    Options
+	runner  PointRunner
+	wal     *jobs.Manager // aux-record journal; nil keeps sweeps in memory only
+	clock   func() time.Time
 	metrics *Metrics
 
-	mu     chan struct{} // 1-buffered mutex; select-able against stop
-	sweeps map[string]*Tracker
-	order  []string
-	stop   chan struct{}
-	done   chan struct{} // closed when every watcher exited
-	nwatch int
+	ctx   context.Context // ends on Close; every point driver derives from it
+	close context.CancelFunc
+	wg    sync.WaitGroup // point drivers
+
+	mu     sync.Mutex
+	sweeps map[string]*entry
 }
 
-// New returns a Coordinator. Call Recover to replay persisted sweeps, and
-// Close before shutting the job manager down.
+// entry is one sweep in the table: its tracker plus the cancel function of
+// each point's driver (nil for points that never needed one).
+type entry struct {
+	t      *tracker
+	cancel []context.CancelFunc
+}
+
+// New returns a Coordinator that runs points as jobs on opts.Jobs. Call
+// Recover to replay persisted sweeps, and Close before shutting the job
+// manager down.
 func New(opts Options) (*Coordinator, error) {
 	if opts.Jobs == nil {
 		return nil, fmt.Errorf("sweep: Options.Jobs is required")
 	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
-	c := &Coordinator{
-		opts:    opts,
-		metrics: NewMetrics(),
-		mu:      make(chan struct{}, 1),
-		sweeps:  make(map[string]*Tracker),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	return c, nil
+	return newCoordinator(&localRunner{jobs: opts.Jobs, lookup: opts.Lookup}, opts.Jobs, opts.Clock), nil
 }
 
-func (c *Coordinator) lock()   { c.mu <- struct{}{} }
-func (c *Coordinator) unlock() { <-c.mu }
+// NewWithRunner returns a Coordinator that runs points through r and keeps
+// its sweep table in memory only.
+func NewWithRunner(r PointRunner) *Coordinator {
+	return newCoordinator(r, nil, nil)
+}
 
-// Metrics returns the coordinator's counter set.
-func (c *Coordinator) Metrics() *Metrics { return c.metrics }
+func newCoordinator(r PointRunner, wal *jobs.Manager, clock func() time.Time) *Coordinator {
+	if clock == nil {
+		clock = time.Now
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Coordinator{
+		runner: r, wal: wal, clock: clock, metrics: NewMetrics(),
+		ctx: ctx, close: cancel, sweeps: make(map[string]*entry),
+	}
+}
 
 // Submit plans and launches the sweep described by space. The sweep ID is
 // the content address of the canonical space, so resubmitting an identical
 // space dedupes onto the live (or finished) sweep — accepted is false and
 // zero new jobs are created. A superset space gets a new ID but its
-// already-computed points dedupe point-by-point against the cache and job
-// table, running only the delta.
+// already-computed points dedupe point-by-point against the execution tier,
+// running only the delta.
 func (c *Coordinator) Submit(space *hwgc.SweepSpace, class string) (Info, bool, error) {
 	canonical, err := space.CanonicalJSON()
 	if err != nil {
 		return Info{}, false, err
 	}
 	id := hwgc.KeyBytes(canonical)
-	if class == "" {
-		class = c.opts.Jobs.DefaultClass()
-	}
-	if !c.opts.Jobs.HasClass(class) {
-		return Info{}, false, fmt.Errorf("sweep: unknown class %q", class)
+	if class, err = c.runner.Class(class); err != nil {
+		return Info{}, false, err
 	}
 	points, err := space.Points()
 	if err != nil {
 		return Info{}, false, err
 	}
 
-	c.lock()
-	if t, ok := c.sweeps[id]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.sweeps[id]; ok {
 		c.metrics.sweepsDeduped.Add(1)
-		info := t.Info()
-		c.unlock()
-		return info, false, nil
+		return e.t.Info(), false, nil
 	}
-	select {
-	case <-c.stop:
-		c.unlock()
+	if c.ctx.Err() != nil {
 		return Info{}, false, jobs.ErrDraining
-	default:
 	}
 	// Durable before visible: the aux record is fsynced before the sweep
 	// exists anywhere a client could observe it, so recovery never misses
 	// an acknowledged sweep.
-	payload, err := json.Marshal(auxSweep{Space: canonical, Class: class})
-	if err != nil {
-		c.unlock()
-		return Info{}, false, err
-	}
-	if err := c.opts.Jobs.AppendAux(auxSweepTag, id, payload); err != nil {
-		c.unlock()
-		return Info{}, false, err
-	}
-	t := NewTracker(id, space, class, points, c.metrics, c.opts.Clock)
-	c.sweeps[id] = t
-	c.order = append(c.order, id)
-	c.launchLocked(t)
-	info := t.Info()
-	c.unlock()
-	return info, true, nil
-}
-
-// launchLocked resolves every pending point of t: cache hits complete
-// immediately, the rest are submitted as jobs and watched. Caller holds the
-// coordinator lock.
-func (c *Coordinator) launchLocked(t *Tracker) {
-	for i := range t.Points {
-		if t.PointPending(i) {
-			c.launchPointLocked(t, i, 0)
+	if c.wal != nil {
+		payload, err := json.Marshal(auxSweep{Space: canonical, Class: class})
+		if err != nil {
+			return Info{}, false, err
+		}
+		if err := c.wal.AppendAux(auxSweepTag, id, payload); err != nil {
+			return Info{}, false, err
 		}
 	}
+	e := c.addLocked(id, space, class, points)
+	c.launchLocked(e)
+	return e.t.Info(), true, nil
 }
 
-// launchPointLocked satisfies one point from the cache or hands it to the
-// job tier, spawning a watcher for its terminal transition. Caller holds
-// the coordinator lock.
-func (c *Coordinator) launchPointLocked(t *Tracker, index, attempts int) {
-	p := t.Points[index]
-	if c.opts.Lookup != nil {
-		if body, ok := c.opts.Lookup(p.Key); ok {
-			if outcome, err := decodeOutcome(index, p, body); err == nil {
-				t.CompletePoint(index, outcome, true)
-				return
+// addLocked registers a freshly planned sweep. Caller holds c.mu.
+func (c *Coordinator) addLocked(id string, space *hwgc.SweepSpace, class string, points []hwgc.SweepPoint) *entry {
+	e := &entry{
+		t:      newTracker(id, space, class, points, c.metrics, c.clock),
+		cancel: make([]context.CancelFunc, len(points)),
+	}
+	c.sweeps[id] = e
+	return e
+}
+
+// launchLocked completes every pending point the execution tier already
+// holds and starts a driver for each of the rest. Caller holds c.mu.
+func (c *Coordinator) launchLocked(e *entry) {
+	for i, p := range e.t.Points {
+		if !e.t.PointPending(i) {
+			continue
+		}
+		if body, ok := c.runner.Cached(p.Key); ok {
+			if outcome, err := decodeOutcome(i, p, body); err == nil {
+				e.t.CompletePoint(i, outcome, true)
+				continue
 			}
-			// An undecodable cache body falls through to a fresh execution.
+			// An undecodable cached body falls through to a fresh execution.
 		}
+		ctx, cancel := context.WithCancel(c.ctx)
+		e.cancel[i] = cancel
+		c.wg.Add(1)
+		go c.drive(ctx, cancel, e.t, i)
 	}
-	_, accepted, err := c.opts.Jobs.Submit(jobs.KindCollect, t.Class, p.Canonical)
-	if err != nil {
-		t.FailPoint(index, err.Error())
-		return
-	}
-	if accepted {
-		t.NoteJobSubmitted()
-	}
-	c.nwatch++
-	go c.watchPoint(t, index, attempts, !accepted)
 }
 
 // decodeOutcome parses a point's encoded CollectResponse body.
@@ -201,119 +201,51 @@ func decodeOutcome(index int, p hwgc.SweepPoint, body []byte) (PointOutcome, err
 	return PointOutcome{Index: index, Key: p.Key, Req: p.Req, Result: resp.Result}, nil
 }
 
-// watchPoint waits for one point's job to reach a terminal state and
-// applies the transition to the tracker. Terminal events can be dropped by
-// a full subscriber buffer (the channel still closes), so a closed channel
-// re-checks the job table before concluding anything.
-func (c *Coordinator) watchPoint(t *Tracker, index, attempts int, coalesced bool) {
-	defer c.watcherExit()
+// drive runs one point through the runner until the tracker takes a
+// terminal transition for it, resubmitting (bounded) while its execution
+// keeps getting lost. A point completes as deduped when none of its runs
+// started a fresh execution.
+func (c *Coordinator) drive(ctx context.Context, cancel context.CancelFunc, t *tracker, index int) {
+	defer c.wg.Done()
+	defer cancel()
 	p := t.Points[index]
-	state, errMsg, ok := c.awaitTerminal(p.Key)
-	if !ok {
-		return // coordinator stopping; recovery resumes the sweep
-	}
-
-	c.lock()
-	defer c.unlock()
-	if !t.PointPending(index) {
-		return
-	}
-	switch state {
-	case jobs.StateDone:
-		body, _, err := c.opts.Jobs.Result(p.Key)
-		if err != nil {
-			t.FailPoint(index, err.Error())
-			return
+	deduped := true
+	for attempt := 1; ; attempt++ {
+		body, fresh, err := c.runner.Run(ctx, t.Class, p)
+		c.mu.Lock()
+		if fresh {
+			deduped = false
+			t.NoteJobSubmitted()
 		}
-		outcome, err := decodeOutcome(index, p, body)
-		if err != nil {
-			t.FailPoint(index, err.Error())
+		switch {
+		case !t.PointPending(index):
+			// Cancel settled the point and stopped this driver; stop the
+			// execution too.
+			c.mu.Unlock()
+			c.runner.Cancel(p.Key)
 			return
-		}
-		t.CompletePoint(index, outcome, coalesced)
-	case jobs.StateFailed:
-		t.FailPoint(index, errMsg)
-	case jobs.StateCancelled, jobs.StateMigrated:
-		if t.CancelRequested() && state == jobs.StateCancelled {
+		case ctx.Err() != nil:
+			// Close: the point stays pending, and Recover resumes it.
+		case err == nil:
+			if outcome, derr := decodeOutcome(index, p, body); derr != nil {
+				t.FailPoint(index, derr.Error())
+			} else {
+				t.CompletePoint(index, outcome, deduped)
+			}
+		case !errors.Is(err, ErrLost):
+			t.FailPoint(index, err.Error())
+		case t.CancelRequested():
+			// A point this cancelled sweep shared with another live sweep
+			// lost its execution: nothing is left to wait for.
 			t.CancelPoint(index)
-			return
+		case attempt > maxPointResubmits:
+			t.FailPoint(index, fmt.Sprintf("%v after %d resubmits", err, maxPointResubmits))
+		default:
+			c.mu.Unlock()
+			continue
 		}
-		// Cancelled by someone else, or migrated to another backend: the
-		// sweep still wants the result here, so revive the job (determinism
-		// makes duplicate execution harmless). Bounded, to rule out a
-		// livelock against a client cancelling in a loop.
-		if attempts+1 >= maxPointResubmits {
-			t.FailPoint(index, fmt.Sprintf("sweep: point job %s after %d resubmits", state, attempts+1))
-			return
-		}
-		c.launchPointLocked(t, index, attempts+1)
-	}
-}
-
-// awaitTerminal blocks until the job reaches a terminal state, the
-// coordinator stops (ok=false), or the job disappears (treated as
-// cancelled, which triggers a resubmit).
-func (c *Coordinator) awaitTerminal(key string) (state jobs.State, errMsg string, ok bool) {
-	for {
-		history, ch, stopSub, err := c.opts.Jobs.Subscribe(key)
-		if err != nil {
-			// Unknown job: compacted away or never admitted; resubmit path.
-			return jobs.StateCancelled, "", true
-		}
-		for _, ev := range history {
-			if ev.State.Terminal() {
-				stopSub()
-				return ev.State, ev.Error, true
-			}
-		}
-		if ch == nil {
-			stopSub()
-			// Terminal but absent from the bounded history (pathological
-			// churn); ask the table directly.
-			if info, err := c.opts.Jobs.Get(key); err == nil && info.State.Terminal() {
-				return info.State, info.Error, true
-			}
-			return jobs.StateCancelled, "", true
-		}
-		closed := false
-		for !closed {
-			select {
-			case <-c.stop:
-				stopSub()
-				return "", "", false
-			case ev, alive := <-ch:
-				if !alive {
-					closed = true
-					break
-				}
-				if ev.State.Terminal() {
-					stopSub()
-					return ev.State, ev.Error, true
-				}
-			}
-		}
-		stopSub()
-		// Channel closed: a terminal event fired but may have been dropped.
-		if info, err := c.opts.Jobs.Get(key); err == nil && info.State.Terminal() {
-			return info.State, info.Error, true
-		}
-		// A revival raced the close; subscribe to the fresh event log.
-	}
-}
-
-func (c *Coordinator) watcherExit() {
-	c.lock()
-	c.nwatch--
-	last := c.nwatch == 0
-	var stopping bool
-	select {
-	case <-c.stop:
-		stopping = true
-	default:
-	}
-	c.unlock()
-	if last && stopping {
-		close(c.done)
+		c.mu.Unlock()
+		return
 	}
 }
 
@@ -322,6 +254,9 @@ func (c *Coordinator) watcherExit() {
 // whose results the cache still holds) dedupe instantly, so only genuinely
 // unfinished work runs again. Call once, before serving traffic.
 func (c *Coordinator) Recover() error {
+	if c.wal == nil {
+		return nil
+	}
 	type rec struct {
 		space     *hwgc.SweepSpace
 		class     string
@@ -329,7 +264,7 @@ func (c *Coordinator) Recover() error {
 	}
 	table := make(map[string]*rec)
 	var order []string
-	for _, a := range c.opts.Jobs.AuxRecords("") {
+	for _, a := range c.wal.AuxRecords("") {
 		switch a.Tag {
 		case auxSweepTag:
 			if _, dup := table[a.ID]; dup {
@@ -353,125 +288,113 @@ func (c *Coordinator) Recover() error {
 	}
 	for _, id := range order {
 		r := table[id]
-		class := r.class
-		if class == "" || !c.opts.Jobs.HasClass(class) {
-			class = c.opts.Jobs.DefaultClass()
+		class, err := c.runner.Class(r.class)
+		if err != nil {
+			class, _ = c.runner.Class("")
 		}
 		points, err := r.space.Points()
 		if err != nil {
 			return fmt.Errorf("sweep: recovering %s: %w", id, err)
 		}
-		c.lock()
+		c.mu.Lock()
 		if _, dup := c.sweeps[id]; dup {
-			c.unlock()
+			c.mu.Unlock()
 			continue
 		}
-		t := NewTracker(id, r.space, class, points, c.metrics, c.opts.Clock)
-		c.sweeps[id] = t
-		c.order = append(c.order, id)
+		e := c.addLocked(id, r.space, class, points)
 		if r.cancelled {
 			// The DELETE was durable: rebuild the sweep as cancelled without
 			// touching the job tier. Completed results are not re-attached —
 			// the record of interest for a cancelled sweep is its state.
-			t.MarkCancelRequested()
+			e.t.MarkCancelRequested()
 			for i := range points {
-				t.CancelPoint(i)
+				e.t.CancelPoint(i)
 			}
 		} else {
-			c.launchLocked(t)
+			c.launchLocked(e)
 		}
-		c.unlock()
+		c.mu.Unlock()
 	}
 	return nil
 }
 
 // Get returns one sweep's progress snapshot.
 func (c *Coordinator) Get(id string) (Info, error) {
-	c.lock()
-	defer c.unlock()
-	t, ok := c.sweeps[id]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.sweeps[id]
 	if !ok {
 		return Info{}, ErrNotFound
 	}
-	return t.Info(), nil
+	return e.t.Info(), nil
 }
 
-// Cancel cancels a sweep: its record is persisted, outstanding point jobs
-// not shared with another live sweep are cancelled, and the sweep reaches
-// the cancelled state once every point settles. Terminal sweeps return
-// ErrTerminal with their final Info.
+// Cancel cancels a sweep: the cancellation is journaled, every pending
+// point not shared with another live sweep settles as cancelled at once
+// (its driver then stops the point's execution), and the sweep reaches the
+// cancelled state when its shared points settle too. Terminal sweeps
+// return ErrTerminal with their final Info.
 func (c *Coordinator) Cancel(id string) (Info, error) {
-	c.lock()
-	t, ok := c.sweeps[id]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.sweeps[id]
 	if !ok {
-		c.unlock()
 		return Info{}, ErrNotFound
 	}
-	if t.Terminal() {
-		info := t.Info()
-		c.unlock()
-		return info, ErrTerminal
+	if e.t.Terminal() {
+		return e.t.Info(), ErrTerminal
 	}
-	if err := c.opts.Jobs.AppendAux(auxCancelTag, id, nil); err != nil {
-		c.unlock()
-		return Info{}, err
+	if c.wal != nil {
+		if err := c.wal.AppendAux(auxCancelTag, id, nil); err != nil {
+			return Info{}, err
+		}
 	}
-	t.MarkCancelRequested()
-	// A point job feeding another live sweep must keep running; cancelling
-	// it would fail a sweep the client did not touch.
+	e.t.MarkCancelRequested()
+	// A point feeding another live sweep must keep running; cancelling it
+	// would fail a sweep the client did not touch.
 	shared := make(map[string]bool)
-	for oid, ot := range c.sweeps {
-		if oid == id || ot.Terminal() {
+	for oid, o := range c.sweeps {
+		if oid == id || o.t.Terminal() {
 			continue
 		}
-		for _, k := range ot.PendingKeys() {
+		for _, k := range o.t.PendingKeys() {
 			shared[k] = true
 		}
 	}
-	pending := t.PendingKeys()
-	info := t.Info()
-	c.unlock()
-	for _, k := range pending {
-		if !shared[k] {
-			_, _ = c.opts.Jobs.Cancel(k) // ErrTerminal/ErrNotFound: fine, watcher settles it
+	for i, p := range e.t.Points {
+		if !e.t.PointPending(i) || shared[p.Key] {
+			continue
+		}
+		e.t.CancelPoint(i)
+		if cancel := e.cancel[i]; cancel != nil {
+			cancel()
 		}
 	}
-	return info, nil
+	return e.t.Info(), nil
 }
 
 // Subscribe returns a sweep's replayable event history plus a live channel
 // (nil when the sweep is already terminal). The returned stop function
 // detaches the subscription.
 func (c *Coordinator) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
-	c.lock()
-	t, ok := c.sweeps[id]
+	c.mu.Lock()
+	e, ok := c.sweeps[id]
+	c.mu.Unlock()
 	if !ok {
-		c.unlock()
 		return nil, nil, nil, ErrNotFound
 	}
-	ev := t.Events
-	c.unlock()
-	history, ch := ev.Subscribe()
-	return history, ch, func() { ev.Unsubscribe(ch) }, nil
+	history, ch, stop := e.t.Events.Subscribe()
+	return history, ch, stop, nil
 }
 
-// Close stops every point watcher. In-flight sweeps stay durable in the
-// WAL; the next Open+Recover resumes them.
+// Close stops every point driver and ends every event stream. Points left
+// pending stay journaled (when the coordinator has a journal); the next
+// Recover resumes them.
 func (c *Coordinator) Close() {
-	c.lock()
-	select {
-	case <-c.stop:
-		c.unlock()
-		return
-	default:
-	}
-	close(c.stop)
-	idle := c.nwatch == 0
-	c.unlock()
-	if idle {
-		close(c.done)
-	}
-	<-c.done
+	c.mu.Lock()
+	c.close()
+	c.mu.Unlock()
+	c.wg.Wait()
 }
 
 // WriteMetrics writes every gcsweep_* Prometheus series to w.

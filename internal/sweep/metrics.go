@@ -11,8 +11,8 @@ import (
 )
 
 // Metrics is the sweep subsystem's counter set, written in Prometheus text
-// exposition format as part of the /metrics scrape (gcserved appends its
-// coordinator's set; gcfleet appends the proxy aggregator's).
+// exposition format as part of the /metrics scrape (gcserved and gcfleet
+// each append their coordinator's set).
 type Metrics struct {
 	sweepsSubmitted atomic.Int64 // sweeps accepted with a new ID
 	sweepsDeduped   atomic.Int64 // submissions coalesced onto an existing sweep
@@ -41,22 +41,6 @@ func (m *Metrics) ObserveSweep(d time.Duration) {
 	m.latency.Observe(d)
 	m.mu.Unlock()
 }
-
-// NoteSweepDeduped counts a submission coalesced onto an existing sweep.
-// The Coordinator bumps this internally; the fleet aggregator, which keeps
-// its own sweep table, reports its dedupes through here.
-func (m *Metrics) NoteSweepDeduped() { m.sweepsDeduped.Add(1) }
-
-// PointsDeduped returns how many points were satisfied without running a
-// new job (tests and health checks).
-func (m *Metrics) PointsDeduped() int64 { return m.pointsDeduped.Load() }
-
-// PointsCompleted returns the completed-point count.
-func (m *Metrics) PointsCompleted() int64 { return m.pointsCompleted.Load() }
-
-// FrontierUpdates returns how many frontier recomputations changed the
-// ranking.
-func (m *Metrics) FrontierUpdates() int64 { return m.frontierUpdates.Load() }
 
 // WritePrometheus appends every gcsweep_* series to w.
 func (m *Metrics) WritePrometheus(w io.Writer) error {

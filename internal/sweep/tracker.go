@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/stream"
 )
 
 // Sweep states.
@@ -41,21 +42,20 @@ type Info struct {
 	Finished      time.Time `json:",omitempty"`
 }
 
-// Tracker holds one sweep's execution-agnostic state: the planned points,
+// tracker holds one sweep's execution-agnostic state: the planned points,
 // per-point status, running counters, the current frontier, and the event
-// log. The jobs-backed Coordinator (gcserved) and the fleet aggregator
-// (gcfleet) both drive a Tracker through its Complete/Fail/CancelPoint
-// transitions; the Tracker recomputes the frontier and detects the finish.
-// All methods on Tracker must be called under the owner's lock — it does no
-// locking of its own, because every owner already serializes transitions
-// with sweep-table lookups.
-type Tracker struct {
+// log. The Coordinator drives a tracker through its Complete/Fail/CancelPoint
+// transitions; the tracker recomputes the frontier and detects the finish.
+// All methods on tracker must be called under the Coordinator's lock — it
+// does no locking of its own, because the Coordinator already serializes
+// transitions with sweep-table lookups.
+type tracker struct {
 	ID        string
 	Space     *hwgc.SweepSpace
 	Class     string
 	Points    []hwgc.SweepPoint
 	State     string
-	Events    *EventLog
+	Events    *stream.Log[Event]
 	Submitted time.Time
 	Finished  time.Time
 
@@ -74,15 +74,15 @@ type Tracker struct {
 	clock   func() time.Time
 }
 
-// NewTracker registers a freshly planned sweep: counters start at zero, the
+// newTracker registers a freshly planned sweep: counters start at zero, the
 // "planned" event is emitted, and the active gauge rises.
-func NewTracker(id string, space *hwgc.SweepSpace, class string, points []hwgc.SweepPoint, m *Metrics, clock func() time.Time) *Tracker {
+func newTracker(id string, space *hwgc.SweepSpace, class string, points []hwgc.SweepPoint, m *Metrics, clock func() time.Time) *tracker {
 	if clock == nil {
 		clock = time.Now
 	}
-	t := &Tracker{
+	t := &tracker{
 		ID: id, Space: space, Class: class, Points: points,
-		State: StateRunning, Events: NewEventLog(clock),
+		State: StateRunning, Events: newEventLog(clock),
 		Submitted: clock(), status: make([]pointStatus, len(points)),
 		metrics: m, clock: clock,
 	}
@@ -94,19 +94,19 @@ func NewTracker(id string, space *hwgc.SweepSpace, class string, points []hwgc.S
 }
 
 // NoteJobSubmitted records that a point spawned a fresh job execution.
-func (t *Tracker) NoteJobSubmitted() { t.jobsSub++ }
+func (t *tracker) NoteJobSubmitted() { t.jobsSub++ }
 
 // Terminal reports whether the sweep has finished.
-func (t *Tracker) Terminal() bool { return t.State != StateRunning }
+func (t *tracker) Terminal() bool { return t.State != StateRunning }
 
 // PointPending reports whether the point at index still awaits a terminal
 // transition.
-func (t *Tracker) PointPending(index int) bool {
+func (t *tracker) PointPending(index int) bool {
 	return index >= 0 && index < len(t.status) && t.status[index] == pointPending
 }
 
 // PendingKeys returns the content keys of every still-pending point.
-func (t *Tracker) PendingKeys() []string {
+func (t *tracker) PendingKeys() []string {
 	var keys []string
 	for i, st := range t.status {
 		if st == pointPending {
@@ -118,15 +118,15 @@ func (t *Tracker) PendingKeys() []string {
 
 // MarkCancelRequested records a DELETE so the terminal state becomes
 // cancelled once the outstanding points settle.
-func (t *Tracker) MarkCancelRequested() { t.cancelRequested = true }
+func (t *tracker) MarkCancelRequested() { t.cancelRequested = true }
 
 // CancelRequested reports whether DELETE was called on this sweep.
-func (t *Tracker) CancelRequested() bool { return t.cancelRequested }
+func (t *tracker) CancelRequested() bool { return t.cancelRequested }
 
 // CompletePoint transitions the point at index to done with its outcome.
 // deduped marks a completion satisfied without a new execution (result
 // cache hit or coalesce onto an existing job's result).
-func (t *Tracker) CompletePoint(index int, outcome PointOutcome, deduped bool) {
+func (t *tracker) CompletePoint(index int, outcome PointOutcome, deduped bool) {
 	if !t.PointPending(index) {
 		return
 	}
@@ -146,7 +146,7 @@ func (t *Tracker) CompletePoint(index int, outcome PointOutcome, deduped bool) {
 }
 
 // FailPoint transitions the point at index to failed.
-func (t *Tracker) FailPoint(index int, errMsg string) {
+func (t *tracker) FailPoint(index int, errMsg string) {
 	if !t.PointPending(index) {
 		return
 	}
@@ -164,7 +164,7 @@ func (t *Tracker) FailPoint(index int, errMsg string) {
 }
 
 // CancelPoint transitions the point at index to cancelled.
-func (t *Tracker) CancelPoint(index int) {
+func (t *tracker) CancelPoint(index int) {
 	if !t.PointPending(index) {
 		return
 	}
@@ -181,7 +181,7 @@ func (t *Tracker) CancelPoint(index int) {
 // refreshFrontier recomputes the ranking and emits a frontier event when it
 // changed. Encoded-bytes comparison makes "changed" exact: a completion
 // that does not alter the ranking stays silent.
-func (t *Tracker) refreshFrontier() {
+func (t *tracker) refreshFrontier() {
 	fr := Frontier(t.Space.Objective, t.Space.TopK, t.outcomes)
 	b, err := json.Marshal(fr)
 	if err != nil {
@@ -200,7 +200,7 @@ func (t *Tracker) refreshFrontier() {
 }
 
 // maybeFinish closes the sweep once every point is terminal.
-func (t *Tracker) maybeFinish() {
+func (t *tracker) maybeFinish() {
 	if t.State != StateRunning {
 		return
 	}
@@ -226,18 +226,8 @@ func (t *Tracker) maybeFinish() {
 	})
 }
 
-// Frontier returns the current ranking.
-func (t *Tracker) Frontier() []FrontierEntry {
-	return append([]FrontierEntry(nil), t.frontier...)
-}
-
-// FrontierJSON returns the current ranking's canonical encoding.
-func (t *Tracker) FrontierJSON() []byte {
-	return append([]byte(nil), t.frontierJSON...)
-}
-
 // Info returns the sweep's progress snapshot.
-func (t *Tracker) Info() Info {
+func (t *tracker) Info() Info {
 	return Info{
 		ID: t.ID, State: t.State, Objective: t.Space.Objective, Class: t.Class,
 		Points: len(t.Points), Completed: len(t.outcomes), Failed: t.failed,
