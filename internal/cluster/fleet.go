@@ -217,7 +217,6 @@ func New(opts Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		opts:     opts,
-		metrics:  NewMetrics(),
 		backends: make(map[string]*Backend, len(opts.Backends)),
 		removed:  make(map[string]*Backend),
 		nextIdx:  len(opts.Backends),
@@ -227,6 +226,7 @@ func New(opts Options) (*Fleet, error) {
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 		sleep:    sleepCtx,
 	}
+	f.metrics = newMetrics(f.Backends)
 	ids := make([]string, 0, len(opts.Backends))
 	for i, raw := range opts.Backends {
 		b, err := newBackend(i, raw, opts.BreakerThreshold, opts.BreakerCooldown, opts.BatchInflight)
@@ -297,9 +297,6 @@ func (f *Fleet) Close() {
 
 // Handler returns the fleet's HTTP handler.
 func (f *Fleet) Handler() http.Handler { return f.mux }
-
-// Metrics exposes the fleet counter set (for tests and embedding).
-func (f *Fleet) Metrics() *Metrics { return f.metrics }
 
 // Backends returns the backends in ring-member order.
 func (f *Fleet) Backends() []*Backend {
@@ -428,7 +425,7 @@ func (f *Fleet) send(ctx context.Context, b *Backend, method, path string, body 
 	if err != nil {
 		return sendResult{backend: b, err: err}
 	}
-	f.metrics.ObserveExchange(b.id, resp.StatusCode)
+	f.metrics.exchanges.Inc(exchange{b.id, resp.StatusCode})
 	return sendResult{backend: b, status: resp.StatusCode, header: resp.Header, body: data}
 }
 
@@ -456,7 +453,7 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 		return sendResult{}, ErrNoBackends
 	}
 	replicas[0].routed.Add(1)
-	f.metrics.Routed(replicas[0].id)
+	f.metrics.routes.Inc(replicas[0].id)
 
 	var (
 		last       sendResult
@@ -492,7 +489,7 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 			} else {
 				res = f.send(ctx, b, method, path, body)
 			}
-			f.metrics.ObserveLatency(time.Since(start))
+			f.metrics.lat.Observe(time.Since(start))
 			last, haveLast = res, true
 			switch {
 			case terminal(res):
@@ -640,7 +637,7 @@ func (f *Fleet) hedgeDelay() time.Duration {
 	if f.opts.HedgeQuantile <= 0 || f.opts.HedgeQuantile >= 1 {
 		return 0
 	}
-	d := f.metrics.LatencyQuantile(f.opts.HedgeQuantile)
+	d := f.metrics.lat.Quantile(f.opts.HedgeQuantile)
 	if d < f.opts.HedgeMinDelay {
 		d = f.opts.HedgeMinDelay
 	}

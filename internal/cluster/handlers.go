@@ -10,6 +10,7 @@ import (
 	"hwgc"
 	"hwgc/internal/httpjson"
 	"hwgc/internal/plan"
+	"hwgc/internal/prom"
 )
 
 // maxBodyBytes bounds single-request bodies, matching the backend limit.
@@ -170,7 +171,6 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = f.metrics.WritePrometheus(w, f.Backends())
-	_ = f.emetrics.WritePrometheus(w)
+	_ = prom.Write(w, &f.metrics.set, f.emetrics.Set())
 	_ = f.sweeps.WriteMetrics(w)
 }

@@ -136,10 +136,14 @@ func (f *Fleet) handleJobByID(w http.ResponseWriter, r *http.Request) {
 // proxyJobPath forwards a bodyless by-id request under the standard
 // retry/failover policy. DELETE is safe to retry: cancelling an
 // already-terminal job is an authoritative 409, not a duplicate effect.
+// A successful DELETE also drops the job from the rescue registry.
 func (f *Fleet) proxyJobPath(w http.ResponseWriter, r *http.Request, id, method string) {
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
 	defer cancel()
 	res, err := f.do(ctx, method, r.URL.Path, id, nil)
+	if err == nil && method == http.MethodDelete && res.status == http.StatusOK {
+		f.registry.Forget(id)
+	}
 	f.finishProxy(w, res, err)
 }
 
@@ -174,7 +178,7 @@ func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id strin
 			f.metrics.backendFailures.Add(1)
 			continue
 		}
-		f.metrics.ObserveExchange(b.id, resp.StatusCode)
+		f.metrics.exchanges.Inc(exchange{b.id, resp.StatusCode})
 		if resp.StatusCode >= http.StatusInternalServerError {
 			resp.Body.Close()
 			b.breaker.Record(false)

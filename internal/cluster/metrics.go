@@ -1,14 +1,11 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
-	"hwgc/internal/stats"
+	"hwgc/internal/prom"
 )
 
 // Metrics is the fleet-level counter set, exposed on /metrics in
@@ -17,7 +14,7 @@ import (
 // the key's healthy owner is attributed to a cause — breaker trips,
 // failovers, retries, hedges, or exhaustion.
 type Metrics struct {
-	start time.Time
+	set prom.Set
 
 	retries         atomic.Int64 // sends after the first for one request
 	failovers       atomic.Int64 // sends that left the key's primary owner
@@ -33,186 +30,61 @@ type Metrics struct {
 	backendsAdded   atomic.Int64 // runtime joins via the admin API
 	backendsRemoved atomic.Int64 // runtime removals via the admin API
 
-	mu        sync.Mutex
-	exchanges map[string]map[int]int64 // backend id -> status code -> count
-	routes    map[string]int64         // backend id -> times chosen as primary owner
-	lat       stats.Hist               // merged request latency across backends
+	exchanges prom.CounterVec[exchange] // completed HTTP exchanges with backends
+	routes    prom.CounterVec[string]   // backend id -> times chosen as primary owner
+	lat       prom.Summary              // merged request latency across backends
 }
 
-// NewMetrics returns an empty fleet counter set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:     time.Now(),
-		exchanges: make(map[string]map[int]int64),
-		routes:    make(map[string]int64),
+// exchange keys the exchange counters by backend id and status code.
+type exchange struct {
+	backend string
+	code    int
+}
+
+// newMetrics returns an empty fleet counter set whose scrape samples the
+// per-backend state of the members backends lists.
+func newMetrics(backends func() []*Backend) *Metrics {
+	m := &Metrics{}
+	start := time.Now()
+	s := &m.set
+	s.Labelled("gcfleet_requests_total", "HTTP exchanges with backends, by backend and status code.", "counter", []string{"backend", "code"}, func(emit prom.Emit) {
+		m.exchanges.Each(func(k exchange, n int64) { emit(n, k.backend, strconv.Itoa(k.code)) })
+	})
+	s.Labelled("gcfleet_routed_total", "Requests whose primary ring owner was this backend (routing distribution).", "counter", []string{"backend"}, func(emit prom.Emit) {
+		m.routes.Each(func(id string, n int64) { emit(n, id) })
+	})
+	perBackend := func(name, help, typ string, v func(b *Backend) int64) {
+		s.Labelled(name, help, typ, []string{"backend"}, func(emit prom.Emit) {
+			for _, b := range backends() {
+				emit(v(b), b.id)
+			}
+		})
 	}
-}
-
-// ObserveExchange records one completed HTTP exchange with a backend.
-func (m *Metrics) ObserveExchange(backend string, code int) {
-	m.mu.Lock()
-	byCode := m.exchanges[backend]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.exchanges[backend] = byCode
-	}
-	byCode[code]++
-	m.mu.Unlock()
-}
-
-// Routed records that a backend was chosen as a key's primary owner — the
-// routing distribution of the hash ring.
-func (m *Metrics) Routed(backend string) {
-	m.mu.Lock()
-	m.routes[backend]++
-	m.mu.Unlock()
-}
-
-// RoutedCount returns how many times a backend was the primary owner.
-func (m *Metrics) RoutedCount(backend string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.routes[backend]
-}
-
-// ObserveLatency records one end-to-end exchange latency (hedged exchanges
-// count once, as seen by the caller).
-func (m *Metrics) ObserveLatency(d time.Duration) {
-	m.mu.Lock()
-	m.lat.Observe(d)
-	m.mu.Unlock()
-}
-
-// LatencyQuantile returns the upper-bound q-quantile of observed exchange
-// latency (used to derive the hedge delay).
-func (m *Metrics) LatencyQuantile(q float64) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lat.QuantileDuration(q)
-}
-
-// WritePrometheus writes every fleet counter in Prometheus text format.
-// Map-keyed series are emitted in sorted order so the output is
-// deterministic.
-func (m *Metrics) WritePrometheus(w io.Writer, backends []*Backend) error {
-	m.mu.Lock()
-	exchangeLines := make([]string, 0, len(m.exchanges)*4)
-	ids := make([]string, 0, len(m.exchanges))
-	for id := range m.exchanges {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		codes := make([]int, 0, len(m.exchanges[id]))
-		for c := range m.exchanges[id] {
-			codes = append(codes, c)
+	perBackend("gcfleet_backend_up", "Last health-probe outcome per backend (1 up, 0 down).", "gauge", func(b *Backend) int64 {
+		if b.healthy.Load() {
+			return 1
 		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			exchangeLines = append(exchangeLines,
-				fmt.Sprintf("gcfleet_requests_total{backend=%q,code=\"%d\"} %d", id, c, m.exchanges[id][c]))
-		}
-	}
-	routeIDs := make([]string, 0, len(m.routes))
-	for id := range m.routes {
-		routeIDs = append(routeIDs, id)
-	}
-	sort.Strings(routeIDs)
-	routeLines := make([]string, 0, len(routeIDs))
-	for _, id := range routeIDs {
-		routeLines = append(routeLines, fmt.Sprintf("gcfleet_routed_total{backend=%q} %d", id, m.routes[id]))
-	}
-	lat := m.lat
-	m.mu.Unlock()
-
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-		b = append(b, '\n')
-	}
-	add("# HELP gcfleet_requests_total HTTP exchanges with backends, by backend and status code.")
-	add("# TYPE gcfleet_requests_total counter")
-	for _, l := range exchangeLines {
-		add("%s", l)
-	}
-	add("# HELP gcfleet_routed_total Requests whose primary ring owner was this backend (routing distribution).")
-	add("# TYPE gcfleet_routed_total counter")
-	for _, l := range routeLines {
-		add("%s", l)
-	}
-	add("# HELP gcfleet_backend_up Last health-probe outcome per backend (1 up, 0 down).")
-	add("# TYPE gcfleet_backend_up gauge")
-	add("# HELP gcfleet_breaker_state Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).")
-	add("# TYPE gcfleet_breaker_state gauge")
-	add("# HELP gcfleet_breaker_opens_total Times each backend's breaker opened.")
-	add("# TYPE gcfleet_breaker_opens_total counter")
-	add("# HELP gcfleet_backend_errors_total Transport errors and 5xx replies per backend.")
-	add("# TYPE gcfleet_backend_errors_total counter")
-	add("# HELP gcfleet_hedged_to_total Hedge requests launched against each backend.")
-	add("# TYPE gcfleet_hedged_to_total counter")
-	for _, bk := range backends {
-		up := 0
-		if bk.healthy.Load() {
-			up = 1
-		}
-		add("gcfleet_backend_up{backend=%q} %d", bk.id, up)
-		add("gcfleet_breaker_state{backend=%q} %d", bk.id, bk.breaker.State())
-		add("gcfleet_breaker_opens_total{backend=%q} %d", bk.id, bk.breaker.Opens())
-		add("gcfleet_backend_errors_total{backend=%q} %d", bk.id, bk.errors.Load())
-		add("gcfleet_hedged_to_total{backend=%q} %d", bk.id, bk.hedges.Load())
-	}
-	add("# HELP gcfleet_backends Backends currently in the ring.")
-	add("# TYPE gcfleet_backends gauge")
-	add("gcfleet_backends %d", len(backends))
-	add("# HELP gcfleet_backends_added_total Backends joined at runtime via the admin API.")
-	add("# TYPE gcfleet_backends_added_total counter")
-	add("gcfleet_backends_added_total %d", m.backendsAdded.Load())
-	add("# HELP gcfleet_backends_removed_total Backends removed at runtime via the admin API.")
-	add("# TYPE gcfleet_backends_removed_total counter")
-	add("gcfleet_backends_removed_total %d", m.backendsRemoved.Load())
-	add("# HELP gcfleet_retries_total Sends after the first for one request (retry policy).")
-	add("# TYPE gcfleet_retries_total counter")
-	add("gcfleet_retries_total %d", m.retries.Load())
-	add("# HELP gcfleet_failovers_total Sends that left the key's primary ring owner.")
-	add("# TYPE gcfleet_failovers_total counter")
-	add("gcfleet_failovers_total %d", m.failovers.Load())
-	add("# HELP gcfleet_hedges_total Hedge requests launched after the latency-percentile delay.")
-	add("# TYPE gcfleet_hedges_total counter")
-	add("gcfleet_hedges_total %d", m.hedges.Load())
-	add("# HELP gcfleet_hedge_wins_total Hedges that answered before the primary attempt.")
-	add("# TYPE gcfleet_hedge_wins_total counter")
-	add("gcfleet_hedge_wins_total %d", m.hedgeWins.Load())
-	add("# HELP gcfleet_backend_failures_total Transport errors and 5xx replies across the fleet.")
-	add("# TYPE gcfleet_backend_failures_total counter")
-	add("gcfleet_backend_failures_total %d", m.backendFailures.Load())
-	add("# HELP gcfleet_exhausted_total Requests that ran out of attempts or admissible backends.")
-	add("# TYPE gcfleet_exhausted_total counter")
-	add("gcfleet_exhausted_total %d", m.exhausted.Load())
-	add("# HELP gcfleet_health_probes_total Health probes sent.")
-	add("# TYPE gcfleet_health_probes_total counter")
-	add("gcfleet_health_probes_total %d", m.healthProbes.Load())
-	add("# HELP gcfleet_health_failures_total Health probes that failed.")
-	add("# TYPE gcfleet_health_failures_total counter")
-	add("gcfleet_health_failures_total %d", m.healthFailures.Load())
-	add("# HELP gcfleet_batch_requests_total /v1/batch requests served.")
-	add("# TYPE gcfleet_batch_requests_total counter")
-	add("gcfleet_batch_requests_total %d", m.batchRequests.Load())
-	add("# HELP gcfleet_batch_items_total Batch items scattered across the fleet.")
-	add("# TYPE gcfleet_batch_items_total counter")
-	add("gcfleet_batch_items_total %d", m.batchItems.Load())
-	add("# HELP gcfleet_batch_item_failures_total Batch items that did not complete with status 200.")
-	add("# TYPE gcfleet_batch_item_failures_total counter")
-	add("gcfleet_batch_item_failures_total %d", m.batchFailed.Load())
-	add("# HELP gcfleet_request_seconds Backend exchange latency as seen by the fleet (upper-bound quantiles).")
-	add("# TYPE gcfleet_request_seconds summary")
-	add("gcfleet_request_seconds{quantile=\"0.5\"} %g", lat.Quantile(0.50))
-	add("gcfleet_request_seconds{quantile=\"0.95\"} %g", lat.Quantile(0.95))
-	add("gcfleet_request_seconds{quantile=\"0.99\"} %g", lat.Quantile(0.99))
-	add("gcfleet_request_seconds_sum %g", lat.Sum().Seconds())
-	add("gcfleet_request_seconds_count %d", lat.Count())
-	add("# HELP gcfleet_uptime_seconds Seconds since the fleet coordinator started.")
-	add("# TYPE gcfleet_uptime_seconds gauge")
-	add("gcfleet_uptime_seconds %g", time.Since(m.start).Seconds())
-	_, err := w.Write(b)
-	return err
+		return 0
+	})
+	perBackend("gcfleet_breaker_state", "Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).", "gauge", func(b *Backend) int64 { return int64(b.breaker.State()) })
+	perBackend("gcfleet_breaker_opens_total", "Times each backend's breaker opened.", "counter", func(b *Backend) int64 { return b.breaker.Opens() })
+	perBackend("gcfleet_backend_errors_total", "Transport errors and 5xx replies per backend.", "counter", func(b *Backend) int64 { return b.errors.Load() })
+	perBackend("gcfleet_hedged_to_total", "Hedge requests launched against each backend.", "counter", func(b *Backend) int64 { return b.hedges.Load() })
+	s.GaugeFunc("gcfleet_backends", "Backends currently in the ring.", func() int64 { return int64(len(backends())) })
+	s.Counter("gcfleet_backends_added_total", "Backends joined at runtime via the admin API.", &m.backendsAdded)
+	s.Counter("gcfleet_backends_removed_total", "Backends removed at runtime via the admin API.", &m.backendsRemoved)
+	s.Counter("gcfleet_retries_total", "Sends after the first for one request (retry policy).", &m.retries)
+	s.Counter("gcfleet_failovers_total", "Sends that left the key's primary ring owner.", &m.failovers)
+	s.Counter("gcfleet_hedges_total", "Hedge requests launched after the latency-percentile delay.", &m.hedges)
+	s.Counter("gcfleet_hedge_wins_total", "Hedges that answered before the primary attempt.", &m.hedgeWins)
+	s.Counter("gcfleet_backend_failures_total", "Transport errors and 5xx replies across the fleet.", &m.backendFailures)
+	s.Counter("gcfleet_exhausted_total", "Requests that ran out of attempts or admissible backends.", &m.exhausted)
+	s.Counter("gcfleet_health_probes_total", "Health probes sent.", &m.healthProbes)
+	s.Counter("gcfleet_health_failures_total", "Health probes that failed.", &m.healthFailures)
+	s.Counter("gcfleet_batch_requests_total", "/v1/batch requests served.", &m.batchRequests)
+	s.Counter("gcfleet_batch_items_total", "Batch items scattered across the fleet.", &m.batchItems)
+	s.Counter("gcfleet_batch_item_failures_total", "Batch items that did not complete with status 200.", &m.batchFailed)
+	s.Summary("gcfleet_request_seconds", "Backend exchange latency as seen by the fleet (upper-bound quantiles).", &m.lat, 0.5, 0.95, 0.99)
+	s.GaugeFloat("gcfleet_uptime_seconds", "Seconds since the fleet coordinator started.", func() float64 { return time.Since(start).Seconds() })
+	return m
 }

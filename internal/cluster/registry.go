@@ -1,6 +1,9 @@
 package cluster
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // jobRegistry remembers the canonical POST /v1/jobs body of every job the
 // fleet has routed, keyed by job ID (the request's content key). It is the
@@ -40,6 +43,17 @@ func (r *jobRegistry) Record(id string, body []byte) {
 	}
 	r.ids = append(r.ids, id)
 	r.body[id] = append([]byte(nil), body...)
+}
+
+// Forget drops id once a cancel made its job unwanted, so no later rescue
+// resubmits it.
+func (r *jobRegistry) Forget(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.body[id]; ok {
+		delete(r.body, id)
+		r.ids = slices.DeleteFunc(r.ids, func(x string) bool { return x == id })
+	}
 }
 
 // Snapshot returns a copy of the registry for one rebalance pass.

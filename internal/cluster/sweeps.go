@@ -102,9 +102,12 @@ func (r *ringRunner) Run(ctx context.Context, class string, p hwgc.SweepPoint) (
 	}
 }
 
-// Cancel deletes the point's job on its owner, best effort.
+// Cancel deletes the point's job on its owner, best effort, and forgets
+// it in the rescue registry once the owner confirms.
 func (r *ringRunner) Cancel(key string) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.f.opts.Timeout)
 	defer cancel()
-	_, _ = r.f.do(ctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
+	if res, err := r.f.do(ctx, http.MethodDelete, "/v1/jobs/"+key, key, nil); err == nil && res.status == http.StatusOK {
+		r.f.registry.Forget(key)
+	}
 }

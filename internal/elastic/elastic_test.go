@@ -131,9 +131,9 @@ func TestRebalanceZeroLossOrdering(t *testing.T) {
 	if len(dstCkpt) != 1 || dstCkpt[0] != "PUT "+ckpt {
 		t.Fatalf("destination checkpoint calls %v, want exactly one import", dstCkpt)
 	}
-	if met.JobsMigrated() != 1 || met.MigrationsVerified() != 1 || met.MigrationBytes() == 0 {
+	if met.JobsMigrated() != 1 || met.migrationsVerified.Load() != 1 || met.migrationBytes.Load() == 0 {
 		t.Errorf("metrics migrated=%d verified=%d bytes=%d",
-			met.JobsMigrated(), met.MigrationsVerified(), met.MigrationBytes())
+			met.JobsMigrated(), met.migrationsVerified.Load(), met.migrationBytes.Load())
 	}
 
 	// A job whose key still routes to its source is never touched.

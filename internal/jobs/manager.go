@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/prom"
 	"hwgc/internal/stream"
 )
 
@@ -181,6 +182,7 @@ func Open(opts Options) (*Manager, error) {
 		return nil, err
 	}
 	metrics := NewMetrics()
+	metrics.depths = sched.Depths
 	wal, recs, err := OpenWAL(opts.Dir, metrics)
 	if err != nil {
 		return nil, err
@@ -821,7 +823,7 @@ func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *
 		m.metrics.checkpoints.Add(1)
 		if rcx.fresh && !rcx.observed {
 			rcx.observed = true
-			m.metrics.ObserveFirstCheckpoint(m.opts.Clock().Sub(rcx.dispatched))
+			m.metrics.firstCkpt.Observe(m.opts.Clock().Sub(rcx.dispatched))
 		}
 		if hook := m.opts.CheckpointHook; hook != nil {
 			hook(j.ID)
@@ -966,9 +968,7 @@ func (m *Manager) Backlog() int { return m.sched.Backlog() }
 func (m *Manager) Metrics() *Metrics { return m.metrics }
 
 // WriteMetrics writes every gcjobs_* Prometheus series to w.
-func (m *Manager) WriteMetrics(w io.Writer) error {
-	return m.metrics.WritePrometheus(w, m.sched.Depths())
-}
+func (m *Manager) WriteMetrics(w io.Writer) error { return prom.Write(w, &m.metrics.set) }
 
 // DefaultClass returns the class submissions get when they name none.
 func (m *Manager) DefaultClass() string { return m.opts.Classes[0].Name }

@@ -1,14 +1,9 @@
 package jobs
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"hwgc/internal/stats"
+	"hwgc/internal/prom"
 )
 
 // Metrics is the job subsystem's counter set, written in Prometheus text
@@ -18,6 +13,12 @@ import (
 // higher-priority work, waiting out a WAL fsync, or recovering after a
 // crash (replays, resumes, reclaimed checkpoint files).
 type Metrics struct {
+	set prom.Set
+
+	// depths samples the live per-class queue depth at scrape time; Open
+	// points it at the scheduler.
+	depths func() map[string]int
+
 	submitted atomic.Int64 // jobs accepted with a new ID
 	deduped   atomic.Int64 // submissions coalesced onto an existing job
 	completed atomic.Int64
@@ -43,159 +44,46 @@ type Metrics struct {
 	walTruncatedBytes  atomic.Int64
 	walCompactions     atomic.Int64
 
-	mu        sync.Mutex
-	fsync     stats.Hist // WAL fsync latency
-	firstCkpt stats.Hist // dispatch-to-first-checkpoint latency
+	fsync prom.Summary // WAL fsync latency
+	// firstCkpt is the latency from a fresh dispatch to the job's first
+	// persisted checkpoint — the window during which a crash or preemption
+	// still loses work, i.e. the subsystem's exposure time.
+	firstCkpt prom.Summary
 }
 
 // NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-// ObserveFsync records one WAL fsync duration.
-func (m *Metrics) ObserveFsync(d time.Duration) {
-	m.mu.Lock()
-	m.fsync.Observe(d)
-	m.mu.Unlock()
-}
-
-// ObserveFirstCheckpoint records the latency from a fresh dispatch to the
-// job's first persisted checkpoint — the window during which a crash or
-// preemption still loses work, i.e. the subsystem's exposure time.
-func (m *Metrics) ObserveFirstCheckpoint(d time.Duration) {
-	m.mu.Lock()
-	m.firstCkpt.Observe(d)
-	m.mu.Unlock()
-}
-
-// Preemptions returns the preemption count (for tests and health checks).
-func (m *Metrics) Preemptions() int64 { return m.preemptions.Load() }
-
-// Resumes returns the checkpoint-resume count.
-func (m *Metrics) Resumes() int64 { return m.resumes.Load() }
-
-// FreshStarts returns the from-scratch dispatch count.
-func (m *Metrics) FreshStarts() int64 { return m.freshStarts.Load() }
-
-// WALReplayedRecords returns the number of records rebuilt from disk.
-func (m *Metrics) WALReplayedRecords() int64 { return m.walReplayedRecords.Load() }
-
-// CheckpointFilesReclaimed returns the swept checkpoint-file count.
-func (m *Metrics) CheckpointFilesReclaimed() int64 { return m.ckptReclaims.Load() }
-
-// Migrated returns how many jobs finished locally as migrated-away.
-func (m *Metrics) Migrated() int64 { return m.migrated.Load() }
-
-// Exports returns the served checkpoint-envelope count.
-func (m *Metrics) Exports() int64 { return m.exports.Load() }
-
-// Imports returns the adopted foreign-envelope count.
-func (m *Metrics) Imports() int64 { return m.imports.Load() }
-
-// ImportsDeduped returns imports coalesced onto an existing job.
-func (m *Metrics) ImportsDeduped() int64 { return m.importsDeduped.Load() }
-
-// ImportsRejected returns envelopes rejected by validation.
-func (m *Metrics) ImportsRejected() int64 { return m.importsRejected.Load() }
-
-// WritePrometheus appends every gcjobs_* series to w. depths is the live
-// per-class queue depth (sampled at scrape time); it is written in sorted
-// class order so output is deterministic.
-func (m *Metrics) WritePrometheus(w io.Writer, depths map[string]int) error {
-	m.mu.Lock()
-	fsync := m.fsync
-	firstCkpt := m.firstCkpt
-	m.mu.Unlock()
-
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-		b = append(b, '\n')
-	}
-	add("# HELP gcjobs_queue_depth Queued jobs per priority class.")
-	add("# TYPE gcjobs_queue_depth gauge")
-	classes := make([]string, 0, len(depths))
-	for name := range depths {
-		classes = append(classes, name)
-	}
-	sort.Strings(classes)
-	for _, name := range classes {
-		add("gcjobs_queue_depth{class=%q} %d", name, depths[name])
-	}
-	add("# HELP gcjobs_running Jobs currently executing on the runner pool.")
-	add("# TYPE gcjobs_running gauge")
-	add("gcjobs_running %d", m.running.Load())
-	add("# HELP gcjobs_submitted_total Jobs accepted with a new ID.")
-	add("# TYPE gcjobs_submitted_total counter")
-	add("gcjobs_submitted_total %d", m.submitted.Load())
-	add("# HELP gcjobs_deduped_total Submissions coalesced onto an existing job by content key.")
-	add("# TYPE gcjobs_deduped_total counter")
-	add("gcjobs_deduped_total %d", m.deduped.Load())
-	add("# HELP gcjobs_completed_total Jobs that reached the done state.")
-	add("# TYPE gcjobs_completed_total counter")
-	add("gcjobs_completed_total %d", m.completed.Load())
-	add("# HELP gcjobs_failed_total Jobs that reached the failed state.")
-	add("# TYPE gcjobs_failed_total counter")
-	add("gcjobs_failed_total %d", m.failed.Load())
-	add("# HELP gcjobs_cancelled_total Jobs cancelled by DELETE.")
-	add("# TYPE gcjobs_cancelled_total counter")
-	add("gcjobs_cancelled_total %d", m.cancelled.Load())
-	add("# HELP gcjobs_migrated_total Jobs released locally after a verified handoff to another backend.")
-	add("# TYPE gcjobs_migrated_total counter")
-	add("gcjobs_migrated_total %d", m.migrated.Load())
-	add("# HELP gcjobs_checkpoint_exports_total Checkpoint envelopes served for migration.")
-	add("# TYPE gcjobs_checkpoint_exports_total counter")
-	add("gcjobs_checkpoint_exports_total %d", m.exports.Load())
-	add("# HELP gcjobs_checkpoint_imports_total Foreign checkpoint envelopes adopted as local jobs.")
-	add("# TYPE gcjobs_checkpoint_imports_total counter")
-	add("gcjobs_checkpoint_imports_total %d", m.imports.Load())
-	add("# HELP gcjobs_checkpoint_imports_deduped_total Imports coalesced onto an existing job by content key.")
-	add("# TYPE gcjobs_checkpoint_imports_deduped_total counter")
-	add("gcjobs_checkpoint_imports_deduped_total %d", m.importsDeduped.Load())
-	add("# HELP gcjobs_checkpoint_imports_rejected_total Checkpoint envelopes rejected by validation.")
-	add("# TYPE gcjobs_checkpoint_imports_rejected_total counter")
-	add("gcjobs_checkpoint_imports_rejected_total %d", m.importsRejected.Load())
-	add("# HELP gcjobs_preemptions_total Checkpoint-boundary yields to higher-priority work or drain.")
-	add("# TYPE gcjobs_preemptions_total counter")
-	add("gcjobs_preemptions_total %d", m.preemptions.Load())
-	add("# HELP gcjobs_resumes_total Dispatches that continued a job from its checkpoint.")
-	add("# TYPE gcjobs_resumes_total counter")
-	add("gcjobs_resumes_total %d", m.resumes.Load())
-	add("# HELP gcjobs_fresh_starts_total Dispatches that started a job from scratch.")
-	add("# TYPE gcjobs_fresh_starts_total counter")
-	add("gcjobs_fresh_starts_total %d", m.freshStarts.Load())
-	add("# HELP gcjobs_checkpoints_saved_total Job snapshots persisted to the jobs directory.")
-	add("# TYPE gcjobs_checkpoints_saved_total counter")
-	add("gcjobs_checkpoints_saved_total %d", m.checkpoints.Load())
-	add("# HELP gcjobs_checkpoint_files_reclaimed_total Checkpoint files swept for terminal, unknown or unreadable jobs.")
-	add("# TYPE gcjobs_checkpoint_files_reclaimed_total counter")
-	add("gcjobs_checkpoint_files_reclaimed_total %d", m.ckptReclaims.Load())
-	add("# HELP gcjobs_wal_records_total Records appended to the write-ahead log.")
-	add("# TYPE gcjobs_wal_records_total counter")
-	add("gcjobs_wal_records_total %d", m.walRecords.Load())
-	add("# HELP gcjobs_wal_replays_total WAL replays performed at startup.")
-	add("# TYPE gcjobs_wal_replays_total counter")
-	add("gcjobs_wal_replays_total %d", m.walReplays.Load())
-	add("# HELP gcjobs_wal_replayed_records_total Records rebuilt from the WAL at startup.")
-	add("# TYPE gcjobs_wal_replayed_records_total counter")
-	add("gcjobs_wal_replayed_records_total %d", m.walReplayedRecords.Load())
-	add("# HELP gcjobs_wal_truncated_bytes_total Torn-tail bytes truncated from the WAL on replay.")
-	add("# TYPE gcjobs_wal_truncated_bytes_total counter")
-	add("gcjobs_wal_truncated_bytes_total %d", m.walTruncatedBytes.Load())
-	add("# HELP gcjobs_wal_compactions_total WAL compaction rewrites.")
-	add("# TYPE gcjobs_wal_compactions_total counter")
-	add("gcjobs_wal_compactions_total %d", m.walCompactions.Load())
-	add("# HELP gcjobs_wal_fsync_seconds WAL fsync latency (upper-bound quantile estimates).")
-	add("# TYPE gcjobs_wal_fsync_seconds summary")
-	add("gcjobs_wal_fsync_seconds{quantile=\"0.5\"} %g", fsync.Quantile(0.50))
-	add("gcjobs_wal_fsync_seconds{quantile=\"0.99\"} %g", fsync.Quantile(0.99))
-	add("gcjobs_wal_fsync_seconds_sum %g", fsync.Sum().Seconds())
-	add("gcjobs_wal_fsync_seconds_count %d", fsync.Count())
-	add("# HELP gcjobs_time_to_first_checkpoint_seconds Latency from fresh dispatch to first persisted checkpoint.")
-	add("# TYPE gcjobs_time_to_first_checkpoint_seconds summary")
-	add("gcjobs_time_to_first_checkpoint_seconds{quantile=\"0.5\"} %g", firstCkpt.Quantile(0.50))
-	add("gcjobs_time_to_first_checkpoint_seconds{quantile=\"0.99\"} %g", firstCkpt.Quantile(0.99))
-	add("gcjobs_time_to_first_checkpoint_seconds_sum %g", firstCkpt.Sum().Seconds())
-	add("gcjobs_time_to_first_checkpoint_seconds_count %d", firstCkpt.Count())
-	_, err := w.Write(b)
-	return err
+func NewMetrics() *Metrics {
+	m := &Metrics{}
+	s := &m.set
+	s.Labelled("gcjobs_queue_depth", "Queued jobs per priority class.", "gauge", []string{"class"}, func(emit prom.Emit) {
+		if m.depths != nil {
+			for class, n := range m.depths() {
+				emit(int64(n), class)
+			}
+		}
+	})
+	s.Gauge("gcjobs_running", "Jobs currently executing on the runner pool.", &m.running)
+	s.Counter("gcjobs_submitted_total", "Jobs accepted with a new ID.", &m.submitted)
+	s.Counter("gcjobs_deduped_total", "Submissions coalesced onto an existing job by content key.", &m.deduped)
+	s.Counter("gcjobs_completed_total", "Jobs that reached the done state.", &m.completed)
+	s.Counter("gcjobs_failed_total", "Jobs that reached the failed state.", &m.failed)
+	s.Counter("gcjobs_cancelled_total", "Jobs cancelled by DELETE.", &m.cancelled)
+	s.Counter("gcjobs_migrated_total", "Jobs released locally after a verified handoff to another backend.", &m.migrated)
+	s.Counter("gcjobs_checkpoint_exports_total", "Checkpoint envelopes served for migration.", &m.exports)
+	s.Counter("gcjobs_checkpoint_imports_total", "Foreign checkpoint envelopes adopted as local jobs.", &m.imports)
+	s.Counter("gcjobs_checkpoint_imports_deduped_total", "Imports coalesced onto an existing job by content key.", &m.importsDeduped)
+	s.Counter("gcjobs_checkpoint_imports_rejected_total", "Checkpoint envelopes rejected by validation.", &m.importsRejected)
+	s.Counter("gcjobs_preemptions_total", "Checkpoint-boundary yields to higher-priority work or drain.", &m.preemptions)
+	s.Counter("gcjobs_resumes_total", "Dispatches that continued a job from its checkpoint.", &m.resumes)
+	s.Counter("gcjobs_fresh_starts_total", "Dispatches that started a job from scratch.", &m.freshStarts)
+	s.Counter("gcjobs_checkpoints_saved_total", "Job snapshots persisted to the jobs directory.", &m.checkpoints)
+	s.Counter("gcjobs_checkpoint_files_reclaimed_total", "Checkpoint files swept for terminal, unknown or unreadable jobs.", &m.ckptReclaims)
+	s.Counter("gcjobs_wal_records_total", "Records appended to the write-ahead log.", &m.walRecords)
+	s.Counter("gcjobs_wal_replays_total", "WAL replays performed at startup.", &m.walReplays)
+	s.Counter("gcjobs_wal_replayed_records_total", "Records rebuilt from the WAL at startup.", &m.walReplayedRecords)
+	s.Counter("gcjobs_wal_truncated_bytes_total", "Torn-tail bytes truncated from the WAL on replay.", &m.walTruncatedBytes)
+	s.Counter("gcjobs_wal_compactions_total", "WAL compaction rewrites.", &m.walCompactions)
+	s.Summary("gcjobs_wal_fsync_seconds", "WAL fsync latency (upper-bound quantile estimates).", &m.fsync, 0.5, 0.99)
+	s.Summary("gcjobs_time_to_first_checkpoint_seconds", "Latency from fresh dispatch to first persisted checkpoint.", &m.firstCkpt, 0.5, 0.99)
+	return m
 }

@@ -62,7 +62,7 @@ func TestImportForeignCheckpoint(t *testing.T) {
 		t.Fatalf("imported info = %+v, want checkpointed at cycle %d", info, env.Cycle)
 	}
 	waitState(t, m, env.ID, StateDone)
-	if m.Metrics().Resumes() == 0 {
+	if m.Metrics().resumes.Load() == 0 {
 		t.Fatal("imported job restarted from scratch instead of resuming its snapshot")
 	}
 	body, _, err := m.Result(env.ID)
@@ -72,8 +72,8 @@ func TestImportForeignCheckpoint(t *testing.T) {
 	if want := collectBody(t, 4, 11); !bytes.Equal(body, want) {
 		t.Fatal("foreign-checkpoint result differs from uninterrupted run")
 	}
-	if m.Metrics().Imports() != 1 {
-		t.Fatalf("imports = %d, want 1", m.Metrics().Imports())
+	if m.Metrics().imports.Load() != 1 {
+		t.Fatalf("imports = %d, want 1", m.Metrics().imports.Load())
 	}
 	drainManager(t, m)
 }
@@ -109,7 +109,7 @@ func TestImportRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: import accepted=%v err=%v, want clean rejection", name, accepted, err)
 		}
 		want++
-		if got := m.Metrics().ImportsRejected(); got != want {
+		if got := m.Metrics().importsRejected.Load(); got != want {
 			t.Errorf("%s: importsRejected = %d, want %d", name, got, want)
 		}
 	}
@@ -137,8 +137,8 @@ func TestImportIdempotent(t *testing.T) {
 	if info.ID != env.ID {
 		t.Fatalf("dedup returned job %s", info.ID)
 	}
-	if m.Metrics().ImportsDeduped() != 1 || m.Metrics().Imports() != 1 {
-		t.Fatalf("imports=%d deduped=%d, want 1/1", m.Metrics().Imports(), m.Metrics().ImportsDeduped())
+	if m.Metrics().importsDeduped.Load() != 1 || m.Metrics().imports.Load() != 1 {
+		t.Fatalf("imports=%d deduped=%d, want 1/1", m.Metrics().imports.Load(), m.Metrics().importsDeduped.Load())
 	}
 	waitState(t, m, env.ID, StateDone)
 	// Importing over the finished job is equally inert.
@@ -318,8 +318,8 @@ stepLoop:
 	if err := env.Validate(); err != nil {
 		t.Fatalf("exported envelope fails its own validation: %v", err)
 	}
-	if m1.Metrics().Exports() != 1 {
-		t.Fatalf("exports = %d, want 1", m1.Metrics().Exports())
+	if m1.Metrics().exports.Load() != 1 {
+		t.Fatalf("exports = %d, want 1", m1.Metrics().exports.Load())
 	}
 
 	// Import on the destination and run it to completion there.
@@ -335,7 +335,7 @@ stepLoop:
 		t.Fatalf("imported at point %d state %s, want checkpointed at point 1", info.Point, info.State)
 	}
 	waitState(t, m2, id, StateDone)
-	if m2.Metrics().Resumes() == 0 {
+	if m2.Metrics().resumes.Load() == 0 {
 		t.Fatal("migrated job restarted instead of resuming the shipped snapshot")
 	}
 	body, _, err := m2.Result(id)
@@ -368,8 +368,8 @@ stepLoop:
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if m1.Metrics().Migrated() != 1 {
-		t.Fatalf("migrated = %d, want 1", m1.Metrics().Migrated())
+	if m1.Metrics().migrated.Load() != 1 {
+		t.Fatalf("migrated = %d, want 1", m1.Metrics().migrated.Load())
 	}
 	// A released job is terminal: re-export refuses, release is idempotent.
 	if _, err := m1.Export(ctx, id); !errors.Is(err, ErrTerminal) {

@@ -179,7 +179,7 @@ func (w *WAL) Append(rec walRecord) error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.metrics.ObserveFsync(time.Since(start))
+	w.metrics.fsync.Observe(time.Since(start))
 	w.metrics.walRecords.Add(1)
 	return nil
 }

@@ -50,8 +50,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if string(got[3].Body) != "result-bytes" {
 		t.Fatalf("result body = %q", got[3].Body)
 	}
-	if m2.WALReplayedRecords() != int64(len(want)) {
-		t.Fatalf("replayed-records metric = %d", m2.WALReplayedRecords())
+	if m2.walReplayedRecords.Load() != int64(len(want)) {
+		t.Fatalf("replayed-records metric = %d", m2.walReplayedRecords.Load())
 	}
 }
 

@@ -57,6 +57,10 @@ func (c *checkpointStore) save(key string, reqJSON, snap []byte) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/prom"
 )
 
 // ckptReq is the request used across the crash/resume tests; search at
@@ -186,11 +187,23 @@ func TestCheckpointStartupSweep(t *testing.T) {
 	}
 	// The metric is on /metrics.
 	var buf bytes.Buffer
-	if err := s.metrics.WritePrometheus(&buf, s.queue, s.cache); err != nil {
+	if err := prom.Write(&buf, &s.metrics.set); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "gcserved_checkpoint_files_reclaimed_total 2") {
 		t.Error("reclaim metric missing from exposition")
+	}
+}
+
+// TestCheckpointDirSharedWithJobsDir checks that New refuses one directory
+// for both stores: their <key>.ckpt files have different formats, and each
+// store's startup sweep would delete the other's as unreadable.
+func TestCheckpointDirSharedWithJobsDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, jobsDir := range []string{dir, dir + "/", filepath.Join(dir, "x", "..")} {
+		if _, err := New(Options{CheckpointDir: dir, JobsDir: jobsDir}); err == nil {
+			t.Fatalf("New accepted checkpoint dir %s with jobs dir %s", dir, jobsDir)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"hwgc"
 	"hwgc/internal/httpjson"
 	"hwgc/internal/plan"
+	"hwgc/internal/prom"
 )
 
 // maxBodyBytes bounds request bodies; inline plans are the only large
@@ -44,9 +45,9 @@ func (s *Server) instrument(path string, observeLatency bool, h func(http.Respon
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		s.metrics.Request(path, rec.code)
+		s.metrics.requests.Inc(request{path, rec.code})
 		if observeLatency {
-			s.metrics.Observe(time.Since(start))
+			s.metrics.lat.Observe(time.Since(start))
 		}
 	}
 }
@@ -235,11 +236,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/metrics", false, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.metrics.WritePrometheus(w, s.queue, s.cache)
+		_ = prom.Write(w, &s.metrics.set)
 		if s.jobs != nil {
 			_ = s.jobs.WriteMetrics(w)
-		}
-		if s.sweeps != nil {
 			_ = s.sweeps.WriteMetrics(w)
 		}
 	})(w, r)

@@ -46,6 +46,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -172,22 +173,28 @@ type Server struct {
 }
 
 // New creates a Server. Call Start to spin up the worker pool. It fails
-// only when the async job tier is enabled and cannot be opened (bad class
-// spec, unreadable jobs directory, corrupt WAL).
+// only when the checkpoint and jobs directories are the same, or when the
+// async job tier is enabled and cannot be opened (bad class spec,
+// unreadable jobs directory, corrupt WAL).
 func New(opts Options) (*Server, error) {
+	// Both stores name their files <content key>.ckpt in different formats,
+	// so in one directory each would delete or overwrite the other's.
+	if opts.CheckpointDir != "" && opts.JobsDir != "" && filepath.Clean(opts.CheckpointDir) == filepath.Clean(opts.JobsDir) {
+		return nil, fmt.Errorf("server: checkpoint and jobs directories must differ (both are %s)", opts.CheckpointDir)
+	}
 	s := &Server{
 		opts:     opts.withDefaults(),
-		metrics:  NewMetrics(),
 		draining: make(chan struct{}),
 		runSweep: encodeSweep,
 	}
+	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
+	s.queue = NewQueue(s.opts.QueueDepth)
+	s.metrics = newMetrics(s.queue, s.cache)
 	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) { return encodeCollectObserved(req, s.metrics) }
 	if s.opts.CheckpointDir != "" {
 		s.ckpt = &checkpointStore{dir: s.opts.CheckpointDir}
 		s.runCollect = s.runCheckpointed
 	}
-	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
-	s.queue = NewQueue(s.opts.QueueDepth)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/collect", s.handleCollect)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)

@@ -8,13 +8,13 @@ import (
 // Hist is a power-of-two-bucketed latency histogram over microseconds.
 // Bucket i counts observations with ceil(log2(µs)) == i, so quantile
 // estimates are exact to within a factor of two — plenty for p50 / p95 /
-// p99 service-latency reporting without unbounded memory. It is shared by
-// the gcserved metrics (internal/server) and the gcfleet coordinator
-// metrics (internal/cluster), so both tiers report latency the same way.
+// p99 service-latency reporting without unbounded memory. Every tier's
+// latency summary (gcserved, gcfleet, jobs, sweeps, elastic migration) is
+// a prom.Summary over one Hist, so all of them report latency the same way.
 //
 // Hist is a plain value type with no internal locking; callers serialize
-// access (both consumers guard it with their metrics mutex) and may copy it
-// under that lock to read a consistent snapshot.
+// access (prom.Summary guards it with its own mutex) and may copy it under
+// that lock to read a consistent snapshot.
 type Hist struct {
 	buckets [48]int64
 	count   int64

@@ -12,6 +12,7 @@ import (
 
 	"hwgc"
 	"hwgc/internal/jobs"
+	"hwgc/internal/prom"
 )
 
 // Sentinel errors for the coordinator's lookup methods.
@@ -398,6 +399,4 @@ func (c *Coordinator) Close() {
 }
 
 // WriteMetrics writes every gcsweep_* Prometheus series to w.
-func (c *Coordinator) WriteMetrics(w io.Writer) error {
-	return c.metrics.WritePrometheus(w)
-}
+func (c *Coordinator) WriteMetrics(w io.Writer) error { return prom.Write(w, &c.metrics.set) }

@@ -219,7 +219,7 @@ func (t *tracker) maybeFinish() {
 	}
 	t.State = typ
 	t.metrics.sweepsActive.Add(-1)
-	t.metrics.ObserveSweep(t.Finished.Sub(t.Submitted))
+	t.metrics.latency.Observe(t.Finished.Sub(t.Submitted))
 	t.Events.Emit(Event{
 		Type: typ, Frontier: t.frontier,
 		Points: len(t.Points), Completed: len(t.outcomes), Failed: t.failed, Cancelled: t.cancelledPts,
