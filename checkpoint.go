@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hwgc/internal/core"
-	"hwgc/internal/machine"
 	"hwgc/internal/snapshot"
 )
 
@@ -16,67 +15,20 @@ import (
 // VI-A); cmd/gcreplay builds record/resume/bisect on it and gcserved uses
 // it for preempt/resume of heavy requests.
 
-// Collection is an in-progress, suspendable collection cycle.
-type Collection struct {
-	m *machine.Machine
-}
+// Collection is an in-progress, suspendable collection cycle: drive it
+// with StepCycles, Snapshot it between cycles, and Finish it.
+type Collection = core.Run
 
-// StartCollection begins a collection over h without running it; drive it
-// with StepCycles and Finish. The heap is owned by the collection until
-// Finish returns.
+// StartCollection begins a collection over h without running it. The heap
+// is owned by the collection until Finish returns.
 func StartCollection(h *Heap, cfg Config) (*Collection, error) {
-	m, err := machine.New(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.BeginCollect()
-	return &Collection{m: m}, nil
+	return core.Start(h, nil, cfg, false)
 }
 
 // ResumeCollection reconstructs a suspended collection from snapshot bytes
 // produced by Collection.Snapshot. The restored collection owns a private
 // copy of the captured heap.
-func ResumeCollection(data []byte) (*Collection, error) {
-	st, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.RestoreMachine(st)
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{m: m}, nil
-}
-
-// Heap returns the heap the collection operates on.
-func (c *Collection) Heap() *Heap { return c.m.Heap() }
-
-// Cycle returns the collection's current clock cycle.
-func (c *Collection) Cycle() int64 { return c.m.Cycle() }
-
-// StepCycle advances the collection by one clock cycle (or one provably
-// dead fast-forward jump) and reports whether it has terminated.
-func (c *Collection) StepCycle() (done bool, err error) { return c.m.StepCycle() }
-
-// StepCycles advances the collection until at least n more cycles have
-// elapsed, it terminates, or an error occurs.
-func (c *Collection) StepCycles(n int64) (done bool, err error) { return c.m.StepCycles(n) }
-
-// Snapshot serializes the collection's complete state. It fails once the
-// collection has terminated (there is nothing left to resume — call Finish)
-// or after an error.
-func (c *Collection) Snapshot() ([]byte, error) {
-	st, err := c.m.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.Encode(st), nil
-}
-
-// Finish drives the collection to completion (if it is not already done)
-// and returns its statistics; the heap has then been flipped and compacted,
-// exactly as an uninterrupted Collect would have left it.
-func (c *Collection) Finish() (Stats, error) { return c.m.Resume() }
+func ResumeCollection(data []byte) (*Collection, error) { return core.Restore(data) }
 
 // DiffSnapshots decodes two snapshots and returns their field-level
 // differences, one line per differing field (capped), skipping the named
@@ -93,54 +45,22 @@ func DiffSnapshots(a, b []byte, ignore ...string) ([]string, error) {
 	return snapshot.Diff(sa, sb, ignore...), nil
 }
 
-// RequestCollection is a suspendable variant of NewCollectResponse: it runs
-// the simulation a canonical CollectRequest describes, but can checkpoint
-// between cycles and resume in a later process, and its Response is byte-
-// identical to the uninterrupted NewCollectResponse encoding. gcserved uses
-// it to preempt heavy requests on shutdown and resume them on restart.
+// RequestCollection is a suspendable variant of NewCollectResponse: the
+// Collection a canonical CollectRequest describes. It can checkpoint
+// between cycles and resume in a later process, and its Response is
+// byte-identical to the uninterrupted NewCollectResponse encoding (which is
+// a RequestCollection run straight through). gcserved and the jobs tier use
+// it to preempt collections and resume them later.
 type RequestCollection struct {
-	req    CollectRequest // canonicalized
-	key    string
-	plan   *Plan
-	before *Graph // pre-GC oracle graph, captured when req.Verify
-	col    *Collection
-}
-
-// buildRequestHeap builds the fresh heap and plan a canonicalized request
-// describes. Deterministic: the same canonical request always builds the
-// same heap image.
-func buildRequestHeap(req *CollectRequest) (*Heap, *Plan, error) {
-	if req.Plan != nil {
-		h, err := req.Plan.BuildHeap(core.DefaultHeadroom)
-		if err != nil {
-			return nil, nil, fmt.Errorf("hwgc: building plan: %w", err)
-		}
-		return h, req.Plan, nil
-	}
-	return core.BuildBench(req.Bench, req.Scale, req.Seed)
+	*Collection
+	req CollectRequest // canonicalized
+	key string
 }
 
 // StartCollectRequest canonicalizes req, builds its heap and begins the
 // collection, suspended at cycle 0.
 func StartCollectRequest(req CollectRequest) (*RequestCollection, error) {
-	key, err := req.Key() // canonicalizes req in place
-	if err != nil {
-		return nil, err
-	}
-	h, p, err := buildRequestHeap(&req)
-	if err != nil {
-		return nil, err
-	}
-	rc := &RequestCollection{req: req, key: key, plan: p}
-	if req.Verify && !rc.concurrent() {
-		if rc.before, err = Snapshot(h); err != nil {
-			return nil, fmt.Errorf("hwgc: pre-GC snapshot: %w", err)
-		}
-	}
-	if rc.col, err = StartCollection(h, req.Config); err != nil {
-		return nil, err
-	}
-	return rc, nil
+	return startRequest(req, core.Start)
 }
 
 // ResumeCollectRequest reconstructs a suspended request collection from a
@@ -149,96 +69,50 @@ func StartCollectRequest(req CollectRequest) (*RequestCollection, error) {
 // verification graph and the plan statistics are rebuilt deterministically
 // from the request, the machine state comes from the snapshot.
 func ResumeCollectRequest(req CollectRequest, snap []byte) (*RequestCollection, error) {
-	key, err := req.Key()
-	if err != nil {
-		return nil, err
-	}
-	st, err := snapshot.Decode(snap)
-	if err != nil {
-		return nil, err
-	}
-	if want := req.Config.WithDefaults(); st.Config != want {
-		return nil, fmt.Errorf("hwgc: snapshot config %+v does not match request config %+v", st.Config, want)
-	}
-	m, err := machine.RestoreMachine(st)
-	if err != nil {
-		return nil, err
-	}
-	rc := &RequestCollection{req: req, key: key, col: &Collection{m: m}}
-	if req.Plan != nil {
-		rc.plan = req.Plan
-	} else {
-		if _, rc.plan, err = core.BuildBench(req.Bench, req.Scale, req.Seed); err != nil {
-			return nil, err
-		}
-	}
-	if req.Verify && !rc.concurrent() {
-		h, _, err := buildRequestHeap(&rc.req)
-		if err != nil {
-			return nil, err
-		}
-		if rc.before, err = Snapshot(h); err != nil {
-			return nil, fmt.Errorf("hwgc: pre-GC snapshot: %w", err)
-		}
-	}
-	return rc, nil
+	return startRequest(req, func(h *Heap, p *Plan, cfg Config, verify bool) (*Collection, error) {
+		return core.Resume(h, p, cfg, verify, snap)
+	})
 }
 
-// concurrent reports whether the request runs the built-in concurrent
-// mutator, in which case the stop-the-world oracle cannot predict the
-// outcome and verification uses the structural integrity check instead.
-func (rc *RequestCollection) concurrent() bool { return rc.req.Config.MutatorOps > 0 }
+// startRequest canonicalizes req, builds the fresh heap and plan it
+// describes (deterministically: the same canonical request always builds
+// the same heap image) and hands them to begin.
+func startRequest(req CollectRequest, begin func(*Heap, *Plan, Config, bool) (*Collection, error)) (*RequestCollection, error) {
+	key, err := req.Key() // canonicalizes req in place
+	if err != nil {
+		return nil, err
+	}
+	var h *Heap
+	p := req.Plan
+	if p != nil {
+		if h, err = p.BuildHeap(core.DefaultHeadroom); err != nil {
+			return nil, fmt.Errorf("hwgc: building plan: %w", err)
+		}
+	} else if h, p, err = core.BuildBench(req.Bench, req.Scale, req.Seed); err != nil {
+		return nil, err
+	}
+	c, err := begin(h, p, req.Config, req.Verify)
+	if err != nil {
+		return nil, err
+	}
+	return &RequestCollection{Collection: c, req: req, key: key}, nil
+}
 
 // Key returns the canonical request hash (the serving tier's cache key).
 func (rc *RequestCollection) Key() string { return rc.key }
-
-// Cycle returns the collection's current clock cycle.
-func (rc *RequestCollection) Cycle() int64 { return rc.col.Cycle() }
-
-// StepCycles advances the collection; see Collection.StepCycles.
-func (rc *RequestCollection) StepCycles(n int64) (done bool, err error) {
-	return rc.col.StepCycles(n)
-}
-
-// Snapshot serializes the collection's state for a later
-// ResumeCollectRequest.
-func (rc *RequestCollection) Snapshot() ([]byte, error) { return rc.col.Snapshot() }
 
 // Response finishes the collection (driving it to completion if needed),
 // verifies it when the request asked for verification, and returns the
 // response — byte-identical, once encoded, to what NewCollectResponse
 // produces for the same request uninterrupted.
 func (rc *RequestCollection) Response() (*CollectResponse, error) {
-	st, err := rc.col.Finish()
-	if err != nil {
+	resp := &CollectResponse{Key: rc.key, Bench: rc.req.Bench, Scale: rc.req.Scale, Seed: rc.req.Seed}
+	if rc.req.Plan != nil {
+		resp.Bench = "plan"
+	}
+	var err error
+	if resp.Result, err = rc.Result(resp.Bench); err != nil {
 		return nil, err
 	}
-	if rc.req.Verify {
-		if rc.concurrent() {
-			if err := rc.col.Heap().CheckIntegrity(); err != nil {
-				return nil, fmt.Errorf("hwgc: concurrent collection verification failed: %w", err)
-			}
-		} else if err := Verify(rc.before, rc.col.Heap()); err != nil {
-			return nil, fmt.Errorf("hwgc: collection verification failed: %w", err)
-		}
-	}
-	bench := rc.req.Bench
-	if rc.req.Plan != nil {
-		bench = "plan"
-	}
-	liveObj, liveWords := rc.plan.LiveStats()
-	return &CollectResponse{
-		Key:   rc.key,
-		Bench: bench,
-		Scale: rc.req.Scale,
-		Seed:  rc.req.Seed,
-		Result: RunResult{
-			Benchmark:   bench,
-			Stats:       st,
-			PlanObjects: len(rc.plan.Objs),
-			PlanWords:   rc.plan.Words(),
-			LiveObjects: liveObj,
-			LiveWords:   liveWords,
-		},
-	}, nil
+	return resp, nil
 }

@@ -100,8 +100,8 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 	if *ckptCycles < 0 {
 		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles must be nonnegative, got %d", *ckptCycles)
 	}
-	if *ckptCycles > 0 && *ckptDir == "" {
-		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles requires -checkpoint-dir")
+	if *ckptCycles > 0 && *ckptDir == "" && *jobsDir == "" {
+		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles requires -checkpoint-dir or -jobs-dir")
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {

@@ -100,7 +100,7 @@ func TestParseOptionsErrors(t *testing.T) {
 		t.Error("negative -checkpoint-cycles accepted")
 	}
 	if _, _, _, err := parseOptions([]string{"-checkpoint-cycles", "100"}); err == nil {
-		t.Error("-checkpoint-cycles without -checkpoint-dir accepted")
+		t.Error("-checkpoint-cycles without -checkpoint-dir or -jobs-dir accepted")
 	}
 }
 
@@ -115,6 +115,15 @@ func TestParseOptionsCheckpointFlags(t *testing.T) {
 	}
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Errorf("checkpoint dir not created: %v", err)
+	}
+	// The same flag sets the jobs tier's slice length.
+	jobsDir := t.TempDir() + "/jobs"
+	_, opts, _, err = parseOptions([]string{"-jobs-dir", jobsDir, "-checkpoint-cycles", "5000"})
+	if err != nil {
+		t.Fatalf("-checkpoint-cycles with only -jobs-dir: %v", err)
+	}
+	if opts.JobsDir != jobsDir || opts.CheckpointCycles != 5000 || opts.CheckpointDir != "" {
+		t.Errorf("jobs-tier checkpoint options not wired: %+v", opts)
 	}
 }
 

@@ -137,13 +137,7 @@ func NewHeap(semiWords int) *Heap { return heap.New(semiWords) }
 // Collect runs one garbage collection cycle over h on the simulated
 // multi-core coprocessor and returns its clock-cycle statistics. On return
 // the heap has been flipped and compacted.
-func Collect(h *Heap, cfg Config) (Stats, error) {
-	m, err := machine.New(h, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return m.Collect()
-}
+func Collect(h *Heap, cfg Config) (Stats, error) { return core.CollectOnce(h, cfg, false) }
 
 // CollectVerified is Collect plus an oracle check that the collection
 // preserved the logical object graph exactly and compacted perfectly.

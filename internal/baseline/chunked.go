@@ -100,6 +100,10 @@ func (g *chunked) Collect(h *heap.Heap, workers int) (Result, error) {
 				alloc = struct{ start, cur, end, scanned object.Addr }{}
 			}
 
+			// big is a dedicated allocation waiting to be handed to the
+			// shared stack once its copy is published.
+			var big chunkRef
+
 			allocObj := func(size int) (object.Addr, error) {
 				if size > chunkWords || chunkWords-size == 1 {
 					// Oversized for a chunk: dedicated allocation. The
@@ -110,7 +114,7 @@ func (g *chunked) Collect(h *heap.Heap, workers int) (Result, error) {
 					if !ok {
 						return 0, errTospaceOverflow
 					}
-					full.Put(chunkRef{a, a + object.Addr(size)}, sc)
+					big = chunkRef{a, a + object.Addr(size)}
 					return a, nil
 				}
 				// The chunk allocation discipline mirrors the LAB one: never
@@ -132,6 +136,12 @@ func (g *chunked) Collect(h *heap.Heap, workers int) (Result, error) {
 				fwd, evac, err := claimEvacuate(c, p, false, allocObj, sc)
 				if evac {
 					objs[w]++
+				}
+				if big.end != 0 {
+					// Only now is the copy's header visible: a worker that
+					// took the range sooner would scan an unwritten frame.
+					full.Put(big, sc)
+					big = chunkRef{}
 				}
 				return fwd, err
 			}

@@ -39,9 +39,6 @@ func (b *Backend) Removed() bool { return b.removed.Load() }
 // ID returns the backend's stable name.
 func (b *Backend) ID() string { return b.id }
 
-// BaseURL returns the backend's base URL.
-func (b *Backend) BaseURL() string { return b.baseURL }
-
 // Breaker returns the backend's circuit breaker.
 func (b *Backend) Breaker() *Breaker { return b.breaker }
 

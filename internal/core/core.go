@@ -1,8 +1,9 @@
 // Package core ties the paper's primary contribution together: it builds
-// benchmark heaps, runs the simulated multi-core GC coprocessor
-// (internal/machine) over them, verifies every collection against the
-// reference oracle (internal/gcalgo), and exposes the sweep helpers the
-// experiment harness and the public API are built on.
+// benchmark heaps, runs every collection of the simulated multi-core GC
+// coprocessor (internal/machine) through one suspendable lifecycle (Run)
+// that verifies it against the reference oracle (internal/gcalgo), and
+// exposes the sweep helpers the experiment harness and the public API are
+// built on.
 package core
 
 import (
@@ -11,6 +12,7 @@ import (
 	"hwgc/internal/gcalgo"
 	"hwgc/internal/heap"
 	"hwgc/internal/machine"
+	"hwgc/internal/snapshot"
 	"hwgc/internal/workload"
 )
 
@@ -57,39 +59,174 @@ func BuildBench(bench string, scale int, seed int64) (*heap.Heap, *workload.Plan
 	return h, plan, nil
 }
 
+// Run is one suspendable collection of a built heap, and the one lifecycle
+// every collection goes through: run straight through (CollectOnce,
+// RunBenchmark, RunPlan) or stepped, snapshotted between clock cycles and
+// resumed from the snapshot bytes, possibly in another process (the public
+// Collection and RequestCollection, gcserved's checkpoints, the jobs
+// tier). A resumed run finishes bit-identical to the uninterrupted one.
+type Run struct {
+	m      *machine.Machine
+	plan   *workload.Plan // the heap's plan; nil for a heap built otherwise
+	verify bool
+	// before is the pre-GC oracle graph of a verified stop-the-world run.
+	// With the built-in concurrent mutator the heap graph changes during
+	// the collection, so the oracle cannot predict the outcome and
+	// verification falls back to the structural integrity check.
+	before *gcalgo.Graph
+}
+
+// newRun captures what Finish needs besides the machine: the plan for the
+// result's statistics and, for a verified stop-the-world run, the oracle
+// graph of h before the collection.
+func newRun(h *heap.Heap, plan *workload.Plan, cfg Config, verify bool) (*Run, error) {
+	r := &Run{plan: plan, verify: verify}
+	if verify && cfg.WithDefaults().MutatorOps == 0 {
+		var err error
+		if r.before, err = gcalgo.Snapshot(h); err != nil {
+			return nil, fmt.Errorf("core: pre-GC snapshot: %w", err)
+		}
+	}
+	return r, nil
+}
+
+// Start begins a collection of h, built from plan (nil when built some
+// other way), suspended at cycle 0; when verify is set Finish checks the
+// outcome. The heap is owned by the run until Finish returns.
+func Start(h *heap.Heap, plan *workload.Plan, cfg Config, verify bool) (*Run, error) {
+	r, err := newRun(h, plan, cfg, verify)
+	if err != nil {
+		return nil, err
+	}
+	if r.m, err = machine.New(h, cfg); err != nil {
+		return nil, err
+	}
+	r.m.BeginCollect()
+	return r, nil
+}
+
+// Restore reconstructs a suspended run from the bytes its Snapshot method
+// produced, with nothing else to go on: it is not verified and reports no
+// plan statistics. It owns a private copy of the captured heap.
+func Restore(snap []byte) (*Run, error) {
+	st, err := snapshot.Decode(snap)
+	if err != nil {
+		return nil, err
+	}
+	m, err := machine.RestoreMachine(st)
+	if err != nil {
+		return nil, err
+	}
+	return &Run{m: m}, nil
+}
+
+// Resume reconstructs the run Start(h, plan, cfg, verify) began and its
+// Snapshot method suspended as snap. The caller rebuilds h and plan as for
+// Start; h is read only by the oracle, the machine state comes from snap,
+// whose config must equal cfg.
+func Resume(h *heap.Heap, plan *workload.Plan, cfg Config, verify bool, snap []byte) (*Run, error) {
+	restored, err := Restore(snap)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := restored.m.Config(), cfg.WithDefaults(); got != want {
+		return nil, fmt.Errorf("core: snapshot config %+v does not match request config %+v", got, want)
+	}
+	r, err := newRun(h, plan, cfg, verify)
+	if err != nil {
+		return nil, err
+	}
+	r.m = restored.m
+	return r, nil
+}
+
+// Heap returns the heap the run collects.
+func (r *Run) Heap() *heap.Heap { return r.m.Heap() }
+
+// Cycle returns the run's current clock cycle.
+func (r *Run) Cycle() int64 { return r.m.Cycle() }
+
+// StepCycle advances the run by one clock cycle (or one provably dead
+// fast-forward jump) and reports whether it has terminated.
+func (r *Run) StepCycle() (done bool, err error) { return r.m.StepCycle() }
+
+// StepCycles advances the run until at least n more cycles have elapsed,
+// it terminates, or an error occurs.
+func (r *Run) StepCycles(n int64) (done bool, err error) { return r.m.StepCycles(n) }
+
+// Snapshot serializes the run's complete state. It fails once the
+// collection has terminated (there is nothing left to resume — call
+// Finish) or after an error.
+func (r *Run) Snapshot() ([]byte, error) {
+	st, err := r.m.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.Encode(st), nil
+}
+
+// Finish drives the run to completion (if it is not already done),
+// verifies it when asked, and returns its statistics; the heap has then
+// been flipped and compacted, exactly as an uninterrupted run leaves it.
+func (r *Run) Finish() (Stats, error) {
+	st, err := r.m.Resume()
+	if err != nil || !r.verify {
+		return st, err
+	}
+	return st, checkHeap(r.m.Heap(), r.before)
+}
+
+// checkHeap verifies a finished heap against the oracle graph before, or
+// with the structural integrity check when there is none (a concurrent
+// run). It takes no Run: once a caller stops using its Run, the machine's
+// buffers can be collected while the oracle builds its graph of the heap.
+func checkHeap(h *heap.Heap, before *gcalgo.Graph) error {
+	if before == nil {
+		if err := h.CheckIntegrity(); err != nil {
+			return fmt.Errorf("core: concurrent collection verification failed: %w", err)
+		}
+	} else if err := gcalgo.VerifyCollection(before, h); err != nil {
+		return fmt.Errorf("core: collection verification failed: %w", err)
+	}
+	return nil
+}
+
+// Result finishes the run and returns it as the RunResult labelled name.
+// It reads the plan first, so the run is not used during Finish's
+// verification.
+func (r *Run) Result(name string) (RunResult, error) {
+	res := RunResult{Benchmark: name}
+	if r.plan != nil {
+		res.PlanObjects, res.PlanWords = len(r.plan.Objs), r.plan.Words()
+		res.LiveObjects, res.LiveWords = r.plan.LiveStats()
+	}
+	var err error
+	if res.Stats, err = r.Finish(); err != nil {
+		return RunResult{}, err
+	}
+	return res, nil
+}
+
 // CollectOnce runs a single simulated collection cycle over h and, when
 // verify is set, checks the result against the reference oracle.
 func CollectOnce(h *heap.Heap, cfg Config, verify bool) (Stats, error) {
-	// With the built-in concurrent mutator the heap graph changes during the
-	// collection, so the stop-the-world oracle cannot predict the outcome;
-	// verification falls back to the structural integrity check.
-	concurrent := cfg.WithDefaults().MutatorOps > 0
-	var before *gcalgo.Graph
-	if verify && !concurrent {
-		var err error
-		before, err = gcalgo.Snapshot(h)
-		if err != nil {
-			return Stats{}, fmt.Errorf("core: pre-GC snapshot: %w", err)
-		}
-	}
-	m, err := machine.New(h, cfg)
+	r, err := Start(h, nil, cfg, verify)
 	if err != nil {
 		return Stats{}, err
 	}
-	st, err := m.Collect()
-	if err != nil {
-		return Stats{}, err
-	}
-	if verify {
-		if concurrent {
-			if err := h.CheckIntegrity(); err != nil {
-				return Stats{}, fmt.Errorf("core: concurrent collection verification failed: %w", err)
-			}
-		} else if err := gcalgo.VerifyCollection(before, h); err != nil {
-			return Stats{}, fmt.Errorf("core: collection verification failed: %w", err)
+	return r.Finish()
+}
+
+// collect runs one collection of h, built from plan, labelled name.
+func collect(name string, h *heap.Heap, plan *workload.Plan, cfg Config, verify bool) (RunResult, error) {
+	r, err := Start(h, plan, cfg, verify)
+	if err == nil {
+		var res RunResult
+		if res, err = r.Result(name); err == nil {
+			return res, nil
 		}
 	}
-	return st, nil
+	return RunResult{}, fmt.Errorf("core: %s: %w", name, err)
 }
 
 // RunBenchmark builds the named benchmark at the given scale/seed and runs
@@ -99,19 +236,7 @@ func RunBenchmark(bench string, scale int, seed int64, cfg Config, verify bool) 
 	if err != nil {
 		return RunResult{}, err
 	}
-	st, err := CollectOnce(h, cfg, verify)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("core: %s: %w", bench, err)
-	}
-	liveObj, liveWords := plan.LiveStats()
-	return RunResult{
-		Benchmark:   bench,
-		Stats:       st,
-		PlanObjects: len(plan.Objs),
-		PlanWords:   plan.Words(),
-		LiveObjects: liveObj,
-		LiveWords:   liveWords,
-	}, nil
+	return collect(bench, h, plan, cfg, verify)
 }
 
 // RunPlan builds a heap from a custom (user-supplied) plan and runs one
@@ -124,19 +249,7 @@ func RunPlan(name string, plan *workload.Plan, cfg Config, verify bool) (RunResu
 	if err != nil {
 		return RunResult{}, fmt.Errorf("core: building plan: %w", err)
 	}
-	st, err := CollectOnce(h, cfg, verify)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("core: %s: %w", name, err)
-	}
-	liveObj, liveWords := plan.LiveStats()
-	return RunResult{
-		Benchmark:   name,
-		Stats:       st,
-		PlanObjects: len(plan.Objs),
-		PlanWords:   plan.Words(),
-		LiveObjects: liveObj,
-		LiveWords:   liveWords,
-	}, nil
+	return collect(name, h, plan, cfg, verify)
 }
 
 // SweepCores runs the benchmark once per core count (on identically built

@@ -458,11 +458,7 @@ func Concurrent(benches []string, cores, period int, o Options) ([]ConcurrentRow
 		if err != nil {
 			return nil, err
 		}
-		m1, err := machine.New(h1, cfg)
-		if err != nil {
-			return nil, err
-		}
-		stw, err := m1.Collect()
+		stw, err := core.CollectOnce(h1, cfg, false)
 		if err != nil {
 			return nil, err
 		}

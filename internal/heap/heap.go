@@ -109,9 +109,6 @@ func (h *Heap) Alloc(pi, delta int) (object.Addr, error) {
 	return base, nil
 }
 
-// HeaderWord returns header word 0 of the object at base.
-func (h *Heap) HeaderWord(base object.Addr) object.Word { return h.mem[base] }
-
 // Header returns the decoded header of the object at base.
 func (h *Heap) Header(base object.Addr) object.Header { return object.Decode(h.mem[base]) }
 

@@ -8,14 +8,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hwgc"
 	"hwgc/internal/prom"
+	"hwgc/internal/snapshot"
 	"hwgc/internal/stream"
 )
 
@@ -356,44 +355,30 @@ func (m *Manager) recover(recs []walRecord) error {
 // already-completed sweep point) and leftover temp files are reclaimed;
 // valid files promote their job to the checkpointed state for resume.
 func (m *Manager) sweepCheckpoints() error {
-	entries, err := os.ReadDir(m.opts.Dir)
+	ids, temps, err := snapshot.Scan(m.opts.Dir, ".wal-")
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
+	m.metrics.ckptReclaims.Add(int64(temps))
+	for _, id := range ids {
+		path := m.ckptPath(id)
+		if j := m.jobs[id]; j != nil && !j.State.Terminal() {
+			if ck, err := snapshot.ReadFile(path); err == nil && ck.Point == j.Point {
+				j.State = StateCheckpointed
+				j.Cycle = ck.Cycle
+				j.HasCkpt = true
+				continue
+			}
 		}
-		if strings.HasPrefix(name, ".ckpt-") || strings.HasPrefix(name, ".wal-") {
-			// Temp file orphaned by a crash mid-rename.
-			os.Remove(filepath.Join(m.opts.Dir, name))
-			m.metrics.ckptReclaims.Add(1)
-			continue
-		}
-		if !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		path := filepath.Join(m.opts.Dir, name)
-		id := strings.TrimSuffix(name, ckptSuffix)
-		j := m.jobs[id]
-		if j == nil || j.State.Terminal() {
-			os.Remove(path)
-			m.metrics.ckptReclaims.Add(1)
-			continue
-		}
-		ck, err := readCheckpoint(path)
-		if err != nil || ck.Point != j.Point {
-			os.Remove(path)
-			m.metrics.ckptReclaims.Add(1)
-			continue
-		}
-		j.State = StateCheckpointed
-		j.Cycle = ck.Cycle
-		j.HasCkpt = true
+		os.Remove(path)
+		m.metrics.ckptReclaims.Add(1)
 	}
 	return nil
 }
+
+// ckptPath returns the checkpoint file path for a job ID (IDs are hex
+// SHA-256 content keys).
+func (m *Manager) ckptPath(id string) string { return snapshot.Path(m.opts.Dir, id) }
 
 // compact drops the oldest terminal jobs beyond the retention bound and,
 // when rewrite is set (the replayed log was non-empty), rewrites the WAL to
@@ -689,14 +674,7 @@ func (m *Manager) executeCollect(j *job, rcx *runCtx) ([]byte, error) {
 	if err := json.Unmarshal(j.Req, &req); err != nil {
 		return nil, err
 	}
-	rc, err := m.startOrResume(j, req, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.stepPoint(j, rc, 0, rcx); err != nil {
-		return nil, err
-	}
-	resp, err := rc.Response()
+	resp, err := m.runPoint(j, req, 0, rcx)
 	if err != nil {
 		return nil, err
 	}
@@ -729,14 +707,7 @@ func (m *Manager) executeSweep(j *job, rcx *runCtx) ([]byte, error) {
 		}
 		creq := hwgc.CollectRequest{Bench: sr.Bench, Scale: sr.Scale, Seed: sr.Seed, Config: sr.Config, Verify: sr.Verify}
 		creq.Config.Cores = sr.Cores[point]
-		rc, err := m.startOrResume(j, creq, point)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.stepPoint(j, rc, point, rcx); err != nil {
-			return nil, err
-		}
-		resp, err := rc.Response()
+		resp, err := m.runPoint(j, creq, point, rcx)
 		if err != nil {
 			return nil, err
 		}
@@ -777,7 +748,7 @@ func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest, point int) (*hw
 	m.mu.Unlock()
 	if has {
 		path := m.ckptPath(j.ID)
-		ck, err := readCheckpoint(path)
+		ck, err := snapshot.ReadFile(path)
 		if err == nil && ck.Point == point {
 			if rc, err := hwgc.ResumeCollectRequest(req, ck.Snap); err == nil {
 				return rc, nil
@@ -795,26 +766,31 @@ func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest, point int) (*hw
 	return hwgc.StartCollectRequest(req)
 }
 
-// stepPoint drives one collection point checkpoint to checkpoint until it
-// completes (nil), fails, or must yield (errCancelled / errPreempted). Every
-// executed slice is charged to the job's class for fair-share accounting.
-func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *runCtx) error {
+// runPoint drives one collection point checkpoint to checkpoint until it
+// completes (its response), fails, or must yield (errCancelled /
+// errPreempted). Every executed slice is charged to the job's class for
+// fair-share accounting.
+func (m *Manager) runPoint(j *job, req hwgc.CollectRequest, point int, rcx *runCtx) (*hwgc.CollectResponse, error) {
+	rc, err := m.startOrResume(j, req, point)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		done, err := rc.StepCycles(m.opts.CheckpointCycles)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		m.sched.Charge(j.Class)
 		if done {
-			return nil
+			return rc.Response()
 		}
 		snap, err := rc.Snapshot()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cyc := rc.Cycle()
-		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Point: point, Cycle: cyc, Snap: snap}); err != nil {
-			return err
+		if err := snapshot.WriteFile(m.ckptPath(j.ID), snapshot.Checkpoint{Point: point, Cycle: cyc, Snap: snap}); err != nil {
+			return nil, err
 		}
 		m.mu.Lock()
 		j.HasCkpt = true
@@ -829,10 +805,10 @@ func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *
 			hook(j.ID)
 		}
 		if j.cancel.Load() {
-			return errCancelled
+			return nil, errCancelled
 		}
 		if m.drainingNow() || j.preempt.Load() {
-			return errPreempted
+			return nil, errPreempted
 		}
 	}
 }

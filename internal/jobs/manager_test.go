@@ -3,6 +3,8 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/snapshot"
 )
 
 func collectCanonical(t *testing.T, cores int, seed int64) []byte {
@@ -137,7 +140,7 @@ func TestJobsCollectLifecycle(t *testing.T) {
 		t.Fatal("lone job was preempted")
 	}
 	// A completed job leaves no checkpoint file behind.
-	if files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix)); len(files) != 0 {
+	if files, _ := filepath.Glob(filepath.Join(dir, "*"+snapshot.Suffix)); len(files) != 0 {
 		t.Fatalf("leftover checkpoints: %v", files)
 	}
 	drainManager(t, m)
@@ -420,7 +423,7 @@ func TestJobsCancelMidCheckpoint(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix)); len(files) != 0 {
+	if files, _ := filepath.Glob(filepath.Join(dir, "*"+snapshot.Suffix)); len(files) != 0 {
 		t.Fatalf("cancelled job left checkpoints: %v", files)
 	}
 	drainManager(t, m)
@@ -474,10 +477,10 @@ func TestJobsDeleteRacesCompletion(t *testing.T) {
 // reclaimed, with the metric counting them.
 func TestJobsCheckpointSweep(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef"+ckptSuffix), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "deadbeef"+snapshot.Suffix), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(filepath.Join(dir, strings.Repeat("ab", 32)+ckptSuffix), checkpoint{Point: 0, Snap: []byte("x")}); err != nil {
+	if err := snapshot.WriteFile(filepath.Join(dir, strings.Repeat("ab", 32)+snapshot.Suffix), snapshot.Checkpoint{Point: 0, Snap: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ".ckpt-orphan"), nil, 0o644); err != nil {
@@ -491,9 +494,70 @@ func TestJobsCheckpointSweep(t *testing.T) {
 	if got := m.Metrics().ckptReclaims.Load(); got != 3 {
 		t.Fatalf("reclaimed = %d, want 3", got)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix))
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+snapshot.Suffix))
 	if len(files) != 0 {
 		t.Fatalf("unswept checkpoints: %v", files)
+	}
+}
+
+// TestJobsParentFormatCheckpointRestarts checks that a job checkpoint in
+// the jobs tier's earlier file format ("HWGCJCK1") fails the checkpoint
+// file's header check: the startup sweep reclaims it, and the job restarts
+// its point from cycle 0 and still finishes byte-identical.
+func TestJobsParentFormatCheckpointRestarts(t *testing.T) {
+	dir := t.TempDir()
+	canonical := collectCanonical(t, 4, 0)
+	id := hwgc.KeyBytes(canonical)
+	var m1 *Manager
+	var once sync.Once
+	drained := make(chan error, 1)
+	m1, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500, CheckpointHook: func(string) {
+		once.Do(func() { go func() { drained <- m1.Drain(context.Background()) }() })
+		<-m1.draining
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m1.Submit(KindCollect, "", canonical); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("drain never finished")
+	}
+	path := snapshot.Path(dir, id)
+	ck, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no checkpoint left by the drain: %v", err)
+	}
+	old := []byte("HWGCJCK1")
+	old = binary.LittleEndian.AppendUint32(old, uint32(ck.Point))
+	old = binary.LittleEndian.AppendUint64(old, uint64(ck.Cycle))
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(ck.Snap)))
+	old = append(old, ck.Snap...)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(ck.Snap))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainManager(t, m2)
+	if got := m2.Metrics().ckptReclaims.Load(); got != 1 {
+		t.Fatalf("reclaimed = %d, want 1", got)
+	}
+	waitState(t, m2, id, StateDone)
+	if m2.Metrics().resumes.Load() != 0 {
+		t.Fatal("job resumed from a parent-format checkpoint")
+	}
+	if body, _, err := m2.Result(id); err != nil || !bytes.Equal(body, collectBody(t, 4, 0)) {
+		t.Fatalf("restarted job result differs from uninterrupted run (err %v)", err)
 	}
 }
 

@@ -160,7 +160,7 @@ func (m *Manager) Export(ctx context.Context, id string) (*ExportedJob, error) {
 			hasCkpt, point := j.HasCkpt, j.Point
 			m.mu.Unlock()
 			if hasCkpt {
-				if ck, err := readCheckpoint(m.ckptPath(id)); err == nil && ck.Point == point {
+				if ck, err := snapshot.ReadFile(m.ckptPath(id)); err == nil && ck.Point == point {
 					env.State = StateCheckpointed
 					env.Cycle = ck.Cycle
 					env.Snapshot = ck.Snap
@@ -286,7 +286,7 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 			notify = func() { cb(id, body) }
 		}
 	case StateCheckpointed:
-		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Point: env.Point, Cycle: env.Cycle, Snap: env.Snapshot}); err == nil {
+		if err := snapshot.WriteFile(m.ckptPath(j.ID), snapshot.Checkpoint{Point: env.Point, Cycle: env.Cycle, Snap: env.Snapshot}); err == nil {
 			j.State = StateCheckpointed
 			j.Cycle = env.Cycle
 			j.HasCkpt = true

@@ -3,6 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +17,7 @@ import (
 
 	"hwgc"
 	"hwgc/internal/prom"
+	"hwgc/internal/snapshot"
 )
 
 // ckptReq is the request used across the crash/resume tests; search at
@@ -207,40 +212,136 @@ func TestCheckpointDirSharedWithJobsDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreRoundTrip unit-tests the on-disk framing.
-func TestCheckpointStoreRoundTrip(t *testing.T) {
-	st := &checkpointStore{dir: t.TempDir()}
-	reqJSON := []byte(`{"Bench":"jlisp"}`)
-	snap := []byte("not-a-real-snapshot")
-	if err := st.save("k1", reqJSON, snap); err != nil {
+// TestCheckpointRecoveryChecksKey checks that a checkpoint file whose
+// request does not hash to the file's key is reclaimed, never run: running
+// it would cache one request's response under another request's key, and
+// every later request for that key would get the wrong body as a hit.
+func TestCheckpointRecoveryChecksKey(t *testing.T) {
+	want := uninterruptedBody(t)
+	key := mustKey(t)
+	for _, foreign := range []hwgc.CollectRequest{
+		{Bench: "jlisp", Config: hwgc.Config{Cores: 2}},
+		{Bench: "jlisp", Config: hwgc.Config{Cores: 4}}, // same config as the key's request
+	} {
+		name := fmt.Sprintf("%s/%d cores", foreign.Bench, foreign.Config.Cores)
+		dir := t.TempDir()
+		seedCheckpointAs(t, dir, key, foreign, 2000)
+		s, ts := newTestServer(t, Options{Workers: 1, CheckpointDir: dir, CheckpointCycles: 1 << 40})
+		if got := s.metrics.checkpointsReclaimed.Load(); got != 1 {
+			t.Fatalf("%s: reclaimed = %d, want 1", name, got)
+		}
+		if got := s.metrics.recoveriesEnqueued.Load(); got != 0 {
+			t.Fatalf("%s: recovered a foreign checkpoint (%d enqueued)", name, got)
+		}
+		if _, err := os.Stat(snapshot.Path(dir, key)); !os.IsNotExist(err) {
+			t.Fatalf("%s: foreign checkpoint not deleted (err %v)", name, err)
+		}
+		resp, got := post(t, ts, "/v1/collect", ckptReq)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") == "HIT" || !bytes.Equal(got, want) {
+			t.Fatalf("%s: status %d, X-Cache %q, body differs from uninterrupted run: %v",
+				name, resp.StatusCode, resp.Header.Get("X-Cache"), !bytes.Equal(got, want))
+		}
+		if s.metrics.checkpointsResumed.Load() != 0 {
+			t.Fatalf("%s: foreign checkpoint resumed", name)
+		}
+	}
+}
+
+// TestCheckpointRequestPathChecksKey checks the same on the request path: a
+// checkpoint filed under the request's key but holding another request is
+// reclaimed and the request runs from cycle 0, even when the two requests
+// share a config (so the snapshot's config check alone would pass).
+func TestCheckpointRequestPathChecksKey(t *testing.T) {
+	dir := t.TempDir()
+	want := uninterruptedBody(t)
+	seedCheckpointAs(t, dir, mustKey(t), hwgc.CollectRequest{Bench: "jlisp", Config: hwgc.Config{Cores: 4}}, 2000)
+	s, err := New(Options{Workers: 1, CheckpointDir: dir, CheckpointCycles: 1 << 40})
+	if err != nil {
 		t.Fatal(err)
 	}
-	req, gotSnap, ok, err := st.load("k1")
-	if err != nil || !ok {
-		t.Fatalf("load: ok=%v err=%v", ok, err)
+	body, err := s.runCheckpointed(mustReq(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if req.Bench != "jlisp" || !bytes.Equal(gotSnap, snap) {
-		t.Fatalf("round trip: %+v %q", req, gotSnap)
+	if !bytes.Equal(body, want) {
+		t.Fatal("response differs from uninterrupted run")
 	}
-	if _, _, ok, err := st.load("absent"); ok || err != nil {
-		t.Fatalf("absent key: ok=%v err=%v", ok, err)
+	if s.metrics.checkpointsResumed.Load() != 0 || s.metrics.checkpointsReclaimed.Load() != 1 {
+		t.Fatalf("resumed %d, reclaimed %d; want 0 and 1",
+			s.metrics.checkpointsResumed.Load(), s.metrics.checkpointsReclaimed.Load())
 	}
-	keys, err := st.keys()
+}
+
+// TestCheckpointParentFormatReclaimed checks that a checkpoint in
+// gcserved's earlier file format ("HWGCCKP1": request length, request,
+// snapshot) fails the checkpoint file's header check: the startup sweep
+// reclaims it, and the request, when it comes back, runs from cycle 0 to the
+// uninterrupted bytes.
+func TestCheckpointParentFormatReclaimed(t *testing.T) {
+	dir := t.TempDir()
+	seedCheckpoint(t, dir, 2000)
+	path := snapshot.Path(dir, mustKey(t))
+	ck, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := binary.LittleEndian.AppendUint32([]byte("HWGCCKP1"), uint32(len(ck.Request)))
+	old = append(append(old, ck.Request...), ck.Snap...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, CheckpointDir: dir, CheckpointCycles: 1 << 40})
+	if got := s.metrics.checkpointsReclaimed.Load(); got != 1 {
+		t.Fatalf("reclaimed = %d, want 1", got)
+	}
+	if s.metrics.recoveriesEnqueued.Load() != 0 {
+		t.Fatal("parent-format checkpoint recovered")
+	}
+	resp, got := post(t, ts, "/v1/collect", ckptReq)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, uninterruptedBody(t)) {
+		t.Fatalf("status %d; body differs from uninterrupted run: %v", resp.StatusCode, !bytes.Equal(got, uninterruptedBody(t)))
+	}
+	if s.metrics.checkpointsResumed.Load() != 0 {
+		t.Fatal("parent-format checkpoint resumed")
+	}
+}
+
+// TestCheckpointStoreRoundTrip unit-tests the checkpoint file gcserved
+// writes into its checkpoint directory.
+func TestCheckpointStoreRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	reqJSON := []byte(`{"Bench":"jlisp"}`)
+	snap := []byte("not-a-real-snapshot")
+	if err := snapshot.WriteFile(snapshot.Path(dir, "k1"), snapshot.Checkpoint{Request: reqJSON, Snap: snap}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := snapshot.ReadFile(snapshot.Path(dir, "k1"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var req hwgc.CollectRequest
+	if err := json.Unmarshal(ck.Request, &req); err != nil || req.Bench != "jlisp" || !bytes.Equal(ck.Snap, snap) {
+		t.Fatalf("round trip: %+v %q (err %v)", req, ck.Snap, err)
+	}
+	if _, err := snapshot.ReadFile(snapshot.Path(dir, "absent")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("absent key: err=%v", err)
+	}
+	keys, _, err := snapshot.Scan(dir)
 	if err != nil || len(keys) != 1 || keys[0] != "k1" {
 		t.Fatalf("keys: %v err=%v", keys, err)
 	}
-	if err := st.remove("k1"); err != nil {
+	if err := snapshot.Remove(snapshot.Path(dir, "k1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.remove("k1"); err != nil {
+	if err := snapshot.Remove(snapshot.Path(dir, "k1")); err != nil {
 		t.Fatalf("second remove: %v", err)
 	}
 	// Truncated header is an error, not a silent miss.
-	if err := os.WriteFile(st.path("bad"), []byte("HWGC"), 0o644); err != nil {
+	if err := os.WriteFile(snapshot.Path(dir, "bad"), []byte("HWGC"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := st.load("bad"); err == nil {
-		t.Fatal("truncated checkpoint loaded without error")
+	if _, err := snapshot.ReadFile(snapshot.Path(dir, "bad")); err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("truncated checkpoint: err=%v", err)
 	}
 }
 
@@ -268,7 +369,13 @@ func mustKey(t *testing.T) string {
 // leaves its checkpoint in dir, simulating a crashed process.
 func seedCheckpoint(t *testing.T, dir string, cycles int64) {
 	t.Helper()
-	req := mustReq(t)
+	seedCheckpointAs(t, dir, mustKey(t), mustReq(t), cycles)
+}
+
+// seedCheckpointAs runs req for the given number of cycles and files its
+// checkpoint in dir under key.
+func seedCheckpointAs(t *testing.T, dir, key string, req hwgc.CollectRequest, cycles int64) {
+	t.Helper()
 	rc, err := hwgc.StartCollectRequest(req)
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +391,8 @@ func seedCheckpoint(t *testing.T, dir string, cycles int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &checkpointStore{dir: dir}
-	if err := st.save(mustKey(t), reqJSON, snap); err != nil {
+	ck := snapshot.Checkpoint{Cycle: rc.Cycle(), Request: reqJSON, Snap: snap}
+	if err := snapshot.WriteFile(snapshot.Path(dir, key), ck); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -145,10 +145,8 @@ type Server struct {
 	mux     *http.ServeMux
 	wg      sync.WaitGroup
 
-	// ckpt is non-nil when Options.CheckpointDir is set; draining is
-	// closed when Shutdown begins, which checkpointed jobs poll at each
-	// snapshot boundary.
-	ckpt     *checkpointStore
+	// draining is closed when Shutdown begins; checkpointed jobs poll it
+	// at each snapshot boundary.
 	draining chan struct{}
 
 	// jobs is the durable async job manager, non-nil when Options.JobsDir
@@ -177,8 +175,9 @@ type Server struct {
 // async job tier is enabled and cannot be opened (bad class spec,
 // unreadable jobs directory, corrupt WAL).
 func New(opts Options) (*Server, error) {
-	// Both stores name their files <content key>.ckpt in different formats,
-	// so in one directory each would delete or overwrite the other's.
+	// Both tiers name their checkpoint files <content key>.ckpt, and each
+	// startup sweep reclaims the files it does not own: the jobs tier those
+	// of unknown jobs, gcserved those without a request for their key.
 	if opts.CheckpointDir != "" && opts.JobsDir != "" && filepath.Clean(opts.CheckpointDir) == filepath.Clean(opts.JobsDir) {
 		return nil, fmt.Errorf("server: checkpoint and jobs directories must differ (both are %s)", opts.CheckpointDir)
 	}
@@ -192,7 +191,6 @@ func New(opts Options) (*Server, error) {
 	s.metrics = newMetrics(s.queue, s.cache)
 	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) { return encodeCollectObserved(req, s.metrics) }
 	if s.opts.CheckpointDir != "" {
-		s.ckpt = &checkpointStore{dir: s.opts.CheckpointDir}
 		s.runCollect = s.runCheckpointed
 	}
 	s.mux = http.NewServeMux()
@@ -289,7 +287,7 @@ func (s *Server) Start() {
 			s.wg.Add(1)
 			go s.worker()
 		}
-		if s.ckpt != nil {
+		if s.opts.CheckpointDir != "" {
 			s.recoverCheckpoints()
 		}
 	})

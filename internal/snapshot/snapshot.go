@@ -2,8 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"hwgc/internal/heap"
 	"hwgc/internal/machine"
@@ -94,33 +92,6 @@ func Decode(data []byte) (*machine.State, error) {
 		return nil, fmt.Errorf("snapshot: %d trailing bytes after last section", r.remaining())
 	}
 	return st, nil
-}
-
-// WriteFile atomically writes the encoded state to path (temp file +
-// rename), so a crash mid-write never leaves a torn snapshot behind.
-func WriteFile(path string, st *machine.State) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(Encode(st)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadFile reads and decodes a snapshot file.
-func ReadFile(path string) (*machine.State, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }
 
 func encodeConfig(w *writer, c machine.Config) {

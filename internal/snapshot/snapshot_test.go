@@ -136,11 +136,19 @@ func TestDecodeBoundsAllocations(t *testing.T) {
 
 func TestWriteReadFile(t *testing.T) {
 	st := captureState(t, "jlisp", machine.Config{Cores: 2}, 100)
-	path := t.TempDir() + "/state.snap"
-	if err := WriteFile(path, st); err != nil {
+	path := t.TempDir() + "/state" + Suffix
+	want := Checkpoint{Point: 3, Cycle: st.Cycle, Request: []byte(`{"Bench":"jlisp"}`), Snap: Encode(st)}
+	if err := WriteFile(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	ck, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, ck) {
+		t.Fatal("checkpoint file round trip not identical")
+	}
+	got, err := Decode(ck.Snap)
 	if err != nil {
 		t.Fatal(err)
 	}

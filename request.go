@@ -95,10 +95,11 @@ func (r *CollectRequest) Run() (RunResult, error) {
 	if err := r.Canonicalize(); err != nil {
 		return RunResult{}, err
 	}
-	if r.Plan != nil {
-		return RunPlan("plan", r.Plan, r.Config, r.Verify)
+	resp, err := NewCollectResponse(*r)
+	if err != nil {
+		return RunResult{}, err
 	}
-	return RunBenchmark(r.Bench, r.Scale, r.Seed, r.Config, r.Verify)
+	return resp.Result, nil
 }
 
 // SweepRequest describes a core-count sweep of one named benchmark (the
@@ -193,19 +194,11 @@ type CollectResponse struct {
 // NewCollectResponse runs the (possibly non-canonical) request and wraps
 // the result in the shared response encoding.
 func NewCollectResponse(req CollectRequest) (*CollectResponse, error) {
-	key, err := req.Key() // canonicalizes req in place
+	rc, err := StartCollectRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	res, err := req.Run()
-	if err != nil {
-		return nil, err
-	}
-	bench := req.Bench
-	if req.Plan != nil {
-		bench = "plan"
-	}
-	return &CollectResponse{Key: key, Bench: bench, Scale: req.Scale, Seed: req.Seed, Result: res}, nil
+	return rc.Response()
 }
 
 // Encode writes the response in the service's wire format: indented JSON
