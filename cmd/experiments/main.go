@@ -407,7 +407,7 @@ func baselines() error {
 		if err != nil {
 			return err
 		}
-		if err := baseline.VerifyPreserved(before, h); err != nil {
+		if err := hwgc.VerifyPreserved(before, h); err != nil {
 			return fmt.Errorf("%s corrupted the heap: %w", name, err)
 		}
 		perObj := float64(res.Sync.Total()) / float64(res.LiveObjects)

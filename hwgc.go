@@ -293,5 +293,5 @@ func RunBaseline(name string, h *Heap, workers int) (BaselineResult, error) {
 // object graph (without requiring perfect compaction, which the chunk/LAB
 // collectors intentionally trade away).
 func VerifyPreserved(before *Graph, h *Heap) error {
-	return baseline.VerifyPreserved(before, h)
+	return gcalgo.VerifyPreserved(before, h)
 }

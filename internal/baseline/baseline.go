@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hwgc/internal/gcalgo"
 	"hwgc/internal/heap"
 	"hwgc/internal/object"
 )
@@ -113,22 +112,6 @@ func ByName(name string) (Collector, error) {
 	all := Names()
 	sort.Strings(all)
 	return nil, fmt.Errorf("baseline: unknown collector %q (have %v)", name, all)
-}
-
-// VerifyPreserved checks that the collection preserved the logical object
-// graph and left a structurally valid heap. Unlike the coprocessor oracle it
-// does not require perfect compaction: the chunked and LAB-based collectors
-// legitimately leave filler objects in tospace (that is their measured
-// fragmentation cost).
-func VerifyPreserved(before *gcalgo.Graph, h *heap.Heap) error {
-	if err := h.CheckIntegrity(); err != nil {
-		return err
-	}
-	after, err := gcalgo.Snapshot(h)
-	if err != nil {
-		return err
-	}
-	return before.Equal(after)
 }
 
 // cycle holds the shared state of one software collection over a heap.

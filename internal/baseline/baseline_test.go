@@ -55,7 +55,7 @@ func TestAllCollectorsAllBenchmarks(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					if err := VerifyPreserved(before, h); err != nil {
+					if err := gcalgo.VerifyPreserved(before, h); err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					liveObj, liveWords := plan.LiveStats()
@@ -102,7 +102,7 @@ func TestCollectorEquivalenceQuick(t *testing.T) {
 			t.Logf("%s collect: %v", c.Name(), err)
 			return false
 		}
-		if err := VerifyPreserved(before, h); err != nil {
+		if err := gcalgo.VerifyPreserved(before, h); err != nil {
 			t.Logf("%s (seed %d, %d workers): %v", c.Name(), seed, workers, err)
 			return false
 		}
@@ -142,7 +142,7 @@ func TestOversizedObjects(t *testing.T) {
 		if _, err := c.Collect(h, 4); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := VerifyPreserved(before, h); err != nil {
+		if err := gcalgo.VerifyPreserved(before, h); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

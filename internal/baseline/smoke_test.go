@@ -28,7 +28,7 @@ func TestBaselinesSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, workers, err)
 			}
-			if err := VerifyPreserved(before, h); err != nil {
+			if err := gcalgo.VerifyPreserved(before, h); err != nil {
 				t.Fatalf("%s/%d: %v", name, workers, err)
 			}
 			liveObj, _ := plan.LiveStats()

@@ -65,7 +65,7 @@ func TestTaskPushDistributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyPreserved(before, h); err != nil {
+	if err := gcalgo.VerifyPreserved(before, h); err != nil {
 		t.Fatal(err)
 	}
 	// SPSC traffic shows up as atomic loads/stores beyond the claim
@@ -83,7 +83,7 @@ func TestTaskPushSingleWorker(t *testing.T) {
 	if _, err := c.Collect(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyPreserved(before, h); err != nil {
+	if err := gcalgo.VerifyPreserved(before, h); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -67,7 +67,7 @@ func BuildBench(bench string, scale int, seed int64) (*heap.Heap, *workload.Plan
 // tier). A resumed run finishes bit-identical to the uninterrupted one.
 type Run struct {
 	m      *machine.Machine
-	plan   *workload.Plan // the heap's plan; nil for a heap built otherwise
+	res    RunResult // the plan's statistics; zero for a heap built otherwise
 	verify bool
 	// before is the pre-GC oracle graph of a verified stop-the-world run.
 	// With the built-in concurrent mutator the heap graph changes during
@@ -76,11 +76,17 @@ type Run struct {
 	before *gcalgo.Graph
 }
 
-// newRun captures what Finish needs besides the machine: the plan for the
-// result's statistics and, for a verified stop-the-world run, the oracle
-// graph of h before the collection.
+// newRun captures what Finish needs besides the machine: the plan's
+// statistics for the result and, for a verified stop-the-world run, the
+// oracle graph of h before the collection. It keeps no reference to the
+// plan, so a caller that drops its own can let the plan be freed while the
+// collection runs.
 func newRun(h *heap.Heap, plan *workload.Plan, cfg Config, verify bool) (*Run, error) {
-	r := &Run{plan: plan, verify: verify}
+	r := &Run{verify: verify}
+	if plan != nil {
+		r.res.PlanObjects, r.res.PlanWords = len(plan.Objs), plan.Words()
+		r.res.LiveObjects, r.res.LiveWords = plan.LiveStats()
+	}
 	if verify && cfg.WithDefaults().MutatorOps == 0 {
 		var err error
 		if r.before, err = gcalgo.Snapshot(h); err != nil {
@@ -192,14 +198,9 @@ func checkHeap(h *heap.Heap, before *gcalgo.Graph) error {
 }
 
 // Result finishes the run and returns it as the RunResult labelled name.
-// It reads the plan first, so the run is not used during Finish's
-// verification.
 func (r *Run) Result(name string) (RunResult, error) {
-	res := RunResult{Benchmark: name}
-	if r.plan != nil {
-		res.PlanObjects, res.PlanWords = len(r.plan.Objs), r.plan.Words()
-		res.LiveObjects, res.LiveWords = r.plan.LiveStats()
-	}
+	res := r.res
+	res.Benchmark = name
 	var err error
 	if res.Stats, err = r.Finish(); err != nil {
 		return RunResult{}, err
@@ -252,15 +253,32 @@ func RunPlan(name string, plan *workload.Plan, cfg Config, verify bool) (RunResu
 	return collect(name, h, plan, cfg, verify)
 }
 
-// SweepCores runs the benchmark once per core count (on identically built
-// fresh heaps) and returns the results in order. This is the measurement
-// underlying the paper's Figures 5 and 6 and Table I.
+// SweepCores runs the benchmark once per core count and returns the results
+// in order. It builds the heap once and collects a copy of it per core
+// count, so every point starts from the identical heap. This is the
+// measurement underlying the paper's Figures 5 and 6 and Table I.
 func SweepCores(bench string, coreCounts []int, scale int, seed int64, cfg Config, verify bool) ([]RunResult, error) {
 	out := make([]RunResult, 0, len(coreCounts))
-	for _, n := range coreCounts {
+	if len(coreCounts) == 0 {
+		return out, nil
+	}
+	h, plan, err := BuildBench(bench, scale, seed)
+	if err != nil {
+		return nil, fmt.Errorf("core: sweep %s at %d cores: %w", bench, coreCounts[0], err)
+	}
+	for i, n := range coreCounts {
 		c := cfg
 		c.Cores = n
-		r, err := RunBenchmark(bench, scale, seed, c, verify)
+		run, p := h, plan
+		if i < len(coreCounts)-1 {
+			run = h.Clone()
+		} else {
+			// The last point collects the built heap itself. Dropping the
+			// sweep's reference to the plan lets it be freed while that
+			// collection runs.
+			plan = nil
+		}
+		r, err := collect(bench, run, p, c, verify)
 		if err != nil {
 			return nil, fmt.Errorf("core: sweep %s at %d cores: %w", bench, n, err)
 		}

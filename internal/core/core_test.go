@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"hwgc/internal/workload"
@@ -56,6 +57,29 @@ func TestSweepCores(t *testing.T) {
 	// More cores never slower for a parallel-friendly benchmark.
 	if res[2].Stats.Cycles >= res[0].Stats.Cycles {
 		t.Fatalf("4 cores (%d cycles) not faster than 1 (%d)", res[2].Stats.Cycles, res[0].Stats.Cycles)
+	}
+}
+
+// TestSweepCoresMatchesRunBenchmark pins the heap reuse: a sweep that
+// builds its heap once and collects a copy per core count returns exactly
+// what one fresh RunBenchmark per core count does.
+func TestSweepCoresMatchesRunBenchmark(t *testing.T) {
+	for _, bench := range []string{"jlisp", "search"} {
+		got, err := SweepCores(bench, PaperCoreCounts, 1, 7, Config{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]RunResult, 0, len(PaperCoreCounts))
+		for _, n := range PaperCoreCounts {
+			r, err := RunBenchmark(bench, 1, 7, Config{Cores: n}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: SweepCores differs from RunBenchmark per core count:\n got %+v\nwant %+v", bench, got, want)
+		}
 	}
 }
 

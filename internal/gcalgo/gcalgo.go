@@ -11,6 +11,7 @@ package gcalgo
 
 import (
 	"fmt"
+	"slices"
 
 	"hwgc/internal/heap"
 	"hwgc/internal/object"
@@ -106,60 +107,89 @@ type Graph struct {
 // Snapshot extracts the canonical logical graph of h's current space. It
 // validates that every traversed pointer refers to an object base within the
 // current space.
+//
+// It makes a fixed number of allocations whatever the heap's size: a dense
+// index over the space's addresses, the breadth-first queue, and the graph,
+// whose nodes' Ptrs and Data are slices of two arenas sized to the
+// reachable set, found by a discovery pass before the fill pass.
 func Snapshot(h *heap.Heap) (*Graph, error) {
-	// Valid object bases in the current space.
-	bases := make(map[object.Addr]bool)
-	h.Objects(h.CurSpace(), h.AllocPtr(), func(b object.Addr, _ object.Word) bool {
-		bases[b] = true
-		return true
-	})
-
-	g := &Graph{}
-	index := make(map[object.Addr]int)
-	var queue []object.Addr
-
-	visit := func(p object.Addr, what string) (int, error) {
+	base, alloc, mem := h.Base(h.CurSpace()), h.AllocPtr(), h.Mem()
+	// index[a-base] is 0 when a is not an object base in the current space,
+	// -1 for a base not yet reached, and i+1 once a is node i.
+	index := make([]int32, alloc-base)
+	objects := 0
+	for a := base; a < alloc; a += object.Addr(object.SizeWords(mem[a])) {
+		index[a-base] = -1
+		objects++
+	}
+	queue := make([]object.Addr, 0, objects)
+	// visit returns p's node index (-1 for nil), numbering and enqueueing
+	// p when first reached; ok is false when p is not an object base.
+	visit := func(p object.Addr) (i int, ok bool) {
 		if p == object.NilPtr {
-			return -1, nil
+			return -1, true
 		}
-		if !bases[p] {
-			return 0, fmt.Errorf("gcalgo: %s refers to %d, not a live object base", what, p)
+		if p < base || p >= alloc || index[p-base] == 0 {
+			return 0, false
 		}
-		if i, ok := index[p]; ok {
-			return i, nil
+		if index[p-base] < 0 {
+			queue = append(queue, p)
+			index[p-base] = int32(len(queue))
 		}
-		i := len(index)
-		index[p] = i
-		queue = append(queue, p)
-		return i, nil
+		return int(index[p-base]) - 1, true
 	}
 
-	for ri, r := range h.Roots() {
-		i, err := visit(r, fmt.Sprintf("root %d", ri))
-		if err != nil {
-			return nil, err
+	roots := h.Roots()
+	for ri, r := range roots {
+		if _, ok := visit(r); !ok {
+			return nil, fmt.Errorf("gcalgo: root %d refers to %d, not a live object base", ri, r)
 		}
-		g.Roots = append(g.Roots, i)
 	}
-
+	ptrs, data := 0, 0
 	for qi := 0; qi < len(queue); qi++ {
 		b := queue[qi]
-		hd := h.Header(b)
-		if hd.Mark || hd.Gray {
+		hdr := mem[b]
+		if object.Marked(hdr) || object.GrayBit(hdr) {
 			return nil, fmt.Errorf("gcalgo: live object at %d still has GC bits set", b)
 		}
-		n := Node{Pi: hd.Pi, Delta: hd.Delta}
-		for i := 0; i < hd.Pi; i++ {
-			ci, err := visit(h.Ptr(b, i), fmt.Sprintf("pointer %d of object %d", i, b))
-			if err != nil {
-				return nil, err
+		pi := object.Pi(hdr)
+		for i := 0; i < pi; i++ {
+			p := h.Ptr(b, i)
+			if _, ok := visit(p); !ok {
+				return nil, fmt.Errorf("gcalgo: pointer %d of object %d refers to %d, not a live object base", i, b, p)
 			}
-			n.Ptrs = append(n.Ptrs, ci)
 		}
-		for i := 0; i < hd.Delta; i++ {
-			n.Data = append(n.Data, h.Data(b, i))
+		ptrs += pi
+		data += object.Delta(hdr)
+	}
+
+	g := &Graph{}
+	if len(roots) > 0 {
+		g.Roots = make([]int, len(roots))
+		for ri, r := range roots {
+			g.Roots[ri], _ = visit(r)
 		}
-		g.Nodes = append(g.Nodes, n)
+	}
+	if len(queue) > 0 {
+		g.Nodes = make([]Node, len(queue))
+	}
+	ptrArena := make([]int, ptrs)
+	dataArena := make([]object.Word, data)
+	for ni, b := range queue {
+		hdr := mem[b]
+		pi, delta := object.Pi(hdr), object.Delta(hdr)
+		n := &g.Nodes[ni]
+		n.Pi, n.Delta = pi, delta
+		if pi > 0 {
+			n.Ptrs, ptrArena = ptrArena[:pi:pi], ptrArena[pi:]
+			for i := range n.Ptrs {
+				n.Ptrs[i], _ = visit(h.Ptr(b, i))
+			}
+		}
+		if delta > 0 {
+			n.Data, dataArena = dataArena[:delta:delta], dataArena[delta:]
+			copy(n.Data, mem[object.DataSlot(b, pi, 0):])
+		}
 	}
 	return g, nil
 }
@@ -206,20 +236,85 @@ func (g *Graph) Equal(o *Graph) error {
 	return nil
 }
 
+// VerifyPreserved checks that h (after some collector ran on it) holds
+// exactly the logical graph captured in before and that the heap's
+// structural invariants hold. It does not require perfect compaction, so it
+// also verifies the chunked and LAB-based software baselines, which
+// legitimately leave filler objects in tospace.
+func VerifyPreserved(before *Graph, h *heap.Heap) error {
+	if err := h.CheckIntegrity(); err != nil {
+		return err
+	}
+	if holds(before, h) {
+		return nil
+	}
+	// Build the heap's graph only to report the first difference.
+	after, err := Snapshot(h)
+	if err != nil {
+		return err
+	}
+	return before.Equal(after)
+}
+
+// holds walks h breadth-first in Snapshot's order and reports whether it
+// yields exactly before, node by node, without building a second Graph.
+// It relies on CheckIntegrity having passed, so every root and pointer is
+// nil or an object base in the current space.
+func holds(before *Graph, h *heap.Heap) bool {
+	roots := h.Roots()
+	if len(roots) != len(before.Roots) {
+		return false
+	}
+	base, mem := h.Base(h.CurSpace()), h.Mem()
+	// index[a-base] is i+1 once the object at a is node i.
+	index := make([]int32, h.AllocPtr()-base)
+	queue := make([]object.Addr, 0, len(before.Nodes))
+	// visit returns p's node index (-1 for nil); ok is false when p would
+	// be one node more than before has.
+	visit := func(p object.Addr) (i int, ok bool) {
+		if p == object.NilPtr {
+			return -1, true
+		}
+		if index[p-base] == 0 {
+			if len(queue) == cap(queue) {
+				return 0, false
+			}
+			queue = append(queue, p)
+			index[p-base] = int32(len(queue))
+		}
+		return int(index[p-base]) - 1, true
+	}
+	for ri, r := range roots {
+		if i, ok := visit(r); !ok || i != before.Roots[ri] {
+			return false
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		b, n := queue[qi], &before.Nodes[qi]
+		hdr := mem[b]
+		if object.Pi(hdr) != n.Pi || object.Delta(hdr) != n.Delta || len(n.Ptrs) != n.Pi || len(n.Data) != n.Delta {
+			return false
+		}
+		for i, want := range n.Ptrs {
+			if got, ok := visit(h.Ptr(b, i)); !ok || got != want {
+				return false
+			}
+		}
+		d := object.DataSlot(b, n.Pi, 0)
+		if !slices.Equal(n.Data, mem[d:d+object.Addr(n.Delta)]) {
+			return false
+		}
+	}
+	return len(queue) == len(before.Nodes)
+}
+
 // VerifyCollection checks that h (after some collector ran on it) holds
 // exactly the logical graph captured in before, that the heap's structural
 // invariants hold, and that the space is perfectly compacted (allocation
 // pointer equals base plus live words). It is the shared oracle for all
 // collectors in this repository.
 func VerifyCollection(before *Graph, h *heap.Heap) error {
-	if err := h.CheckIntegrity(); err != nil {
-		return err
-	}
-	after, err := Snapshot(h)
-	if err != nil {
-		return err
-	}
-	if err := before.Equal(after); err != nil {
+	if err := VerifyPreserved(before, h); err != nil {
 		return err
 	}
 	want := h.Base(h.CurSpace()) + object.Addr(before.LiveWords())

@@ -177,8 +177,9 @@ func (h *Heap) FinishCycle(finalFree object.Addr) {
 
 // Objects iterates over the contiguously allocated objects of space s, from
 // its base up to limit, invoking fn with each object's base address and
-// header word. Iteration stops early if fn returns false or a header is
-// implausible (size 2 with no body is allowed; a zero header terminates).
+// header word. Iteration stops early only if fn returns false: every header
+// word is taken at face value, so a zero header is an empty object of
+// HeaderWords words and iteration continues past it.
 func (h *Heap) Objects(s int, limit object.Addr, fn func(base object.Addr, hdr object.Word) bool) {
 	a := h.Base(s)
 	for a < limit {
@@ -206,11 +207,13 @@ func (h *Heap) Clone() *Heap {
 
 // CheckIntegrity validates the structural invariants of the current space:
 // objects tile it exactly from base to the allocation pointer, headers are
-// clean (no mark/gray bits, header word 1 zero), and every pointer slot and
-// root refers to nil or to an object base inside the current space.
+// clean (no mark/gray bits), and every pointer slot and root refers to nil
+// or to an object base inside the current space. Roots are checked in
+// order, then pointer slots in address order, so the first violation is the
+// one reported.
 func (h *Heap) CheckIntegrity() error {
 	base := h.Base(h.cur)
-	bases := make(map[object.Addr]bool)
+	isBase := make([]bool, h.alloc-base)
 	a := base
 	for a < h.alloc {
 		w := h.mem[a]
@@ -220,7 +223,7 @@ func (h *Heap) CheckIntegrity() error {
 		}
 		// Header word 1 is reserved; the mutator zeroes it at allocation but
 		// collectors are not required to rewrite it, so it is not checked.
-		bases[a] = true
+		isBase[a-base] = true
 		next := a + object.Addr(object.SizeWords(w))
 		if next > h.alloc {
 			return fmt.Errorf("heap: object at %d (size %d) overruns alloc pointer %d", a, object.SizeWords(w), h.alloc)
@@ -230,25 +233,18 @@ func (h *Heap) CheckIntegrity() error {
 	if a != h.alloc {
 		return fmt.Errorf("heap: objects end at %d, alloc pointer at %d", a, h.alloc)
 	}
-	check := func(what string, p object.Addr) error {
-		if p == object.NilPtr {
-			return nil
-		}
-		if !bases[p] {
-			return fmt.Errorf("heap: %s refers to %d, not an object base in the current space", what, p)
-		}
-		return nil
+	valid := func(p object.Addr) bool {
+		return p == object.NilPtr || p >= base && p < h.alloc && isBase[p-base]
 	}
 	for i, r := range h.roots {
-		if err := check(fmt.Sprintf("root %d", i), r); err != nil {
-			return err
+		if !valid(r) {
+			return fmt.Errorf("heap: root %d refers to %d, not an object base in the current space", i, r)
 		}
 	}
-	for b := range bases {
-		hd := object.Decode(h.mem[b])
-		for i := 0; i < hd.Pi; i++ {
-			if err := check(fmt.Sprintf("pointer %d of object %d", i, b), h.Ptr(b, i)); err != nil {
-				return err
+	for b := base; b < h.alloc; b += object.Addr(object.SizeWords(h.mem[b])) {
+		for i := 0; i < object.Pi(h.mem[b]); i++ {
+			if p := h.Ptr(b, i); !valid(p) {
+				return fmt.Errorf("heap: pointer %d of object %d refers to %d, not an object base in the current space", i, b, p)
 			}
 		}
 	}

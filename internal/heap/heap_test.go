@@ -2,6 +2,7 @@ package heap
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,6 +210,47 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 	h.Mem()[h.Root(0)] = object.Header{Pi: 0, Delta: object.MaxDelta}.Encode() // overruns alloc
 	if err := h.CheckIntegrity(); err == nil {
 		t.Error("size overrun not detected")
+	}
+}
+
+// TestCheckIntegrityReportsLowestBadPointer pins the report order: with
+// two bad pointers the lower-addressed one is reported, on every run.
+func TestCheckIntegrityReportsLowestBadPointer(t *testing.T) {
+	h := New(200)
+	var objs []object.Addr
+	for i := 0; i < 8; i++ {
+		a, _ := h.Alloc(2, 1)
+		objs = append(objs, a)
+	}
+	for i, a := range objs[:len(objs)-1] {
+		h.SetPtr(a, 1, objs[i+1])
+	}
+	h.AddRoot(objs[0])
+	lo, hi := objs[2], objs[6]
+	h.Mem()[object.PtrSlot(hi, 0)] = object.Word(hi + 1)     // interior pointer
+	h.Mem()[object.PtrSlot(lo, 1)] = object.Word(h.Limit(0)) // outside the space
+	want := fmt.Sprintf("heap: pointer 1 of object %d refers to %d, not an object base in the current space", lo, h.Limit(0))
+	for run := 0; run < 20; run++ {
+		err := h.CheckIntegrity()
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: got %v, want %s", run, err, want)
+		}
+	}
+}
+
+// TestObjectsZeroHeaderContinues pins the tiling rule: a zero header word
+// is an empty object of HeaderWords words, not a terminator.
+func TestObjectsZeroHeaderContinues(t *testing.T) {
+	h := New(64)
+	a, _ := h.Alloc(0, 0)
+	b, _ := h.Alloc(1, 1)
+	var seen []object.Addr
+	h.Objects(0, h.AllocPtr(), func(base object.Addr, hdr object.Word) bool {
+		seen = append(seen, base)
+		return true
+	})
+	if h.Mem()[a] != 0 || len(seen) != 2 || seen[0] != a || seen[1] != b {
+		t.Fatalf("iterated %v over a zero header at %d, want [%d %d]", seen, a, a, b)
 	}
 }
 

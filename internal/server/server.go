@@ -360,6 +360,13 @@ func (s *Server) worker() {
 			j.finish(nil, j.ctx.Err())
 			continue
 		}
+		if body, ok := s.cache.Get(j.Key); ok {
+			// An identical job finished while this one waited in the queue
+			// (a startup recovery, or the same request queued earlier):
+			// its body is the one this job would compute.
+			j.finish(body, nil)
+			continue
+		}
 		s.metrics.jobsStarted.Add(1)
 		s.metrics.inflightJobs.Add(1)
 		body, err := j.run()

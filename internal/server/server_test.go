@@ -330,6 +330,86 @@ func slowServer(t *testing.T, opts Options, d time.Duration) (*Server, *httptest
 	return s, ts
 }
 
+// TestQueuedDuplicateServedFromCache queues two identical requests behind
+// a blocked worker: the worker runs the collection once, then finds the
+// second request's result in the cache at dispatch.
+func TestQueuedDuplicateServedFromCache(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	runs := map[int64]int{}
+	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+		mu.Lock()
+		runs[req.Seed]++
+		n := runs[req.Seed]
+		mu.Unlock()
+		if req.Seed == 1 {
+			close(started)
+			<-release
+		}
+		return []byte(fmt.Sprintf(`{"Seed":%d,"Run":%d}`, req.Seed, n)), nil
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	// collect posts from a goroutine of its own, so it reports with
+	// t.Error, not t.Fatal.
+	collect := func(seed int) (status int, body []byte) {
+		resp, err := http.Post(ts.URL+"/v1/collect", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"Bench":"jlisp","Seed":%d,"Config":{}}`, seed)))
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			t.Error(err)
+		}
+		return resp.StatusCode, body
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		collect(1)
+	}()
+	<-started
+	bodies := make([][]byte, 2)
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			status, body := collect(2)
+			if status != http.StatusOK {
+				t.Errorf("duplicate %d: status %d: %s", i, status, body)
+			}
+			bodies[i] = body
+		}(i)
+	}
+	for s.queue.Depth() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if runs[2] != 1 || !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("identical queued requests ran %d times; bodies %s and %s", runs[2], bodies[0], bodies[1])
+	}
+	if got := s.metrics.jobsStarted.Load(); got != 2 {
+		t.Fatalf("jobs started = %d, want 2 (the blocker and one duplicate)", got)
+	}
+}
+
 func TestQueueFullBackpressure(t *testing.T) {
 	s, ts := slowServer(t, Options{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second}, 200*time.Millisecond)
 
