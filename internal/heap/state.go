@@ -20,21 +20,23 @@ type State struct {
 	Mem      []object.Word
 }
 
-// CaptureState returns a deep copy of the heap's state.
+// CaptureState returns the heap's state without copying it: Mem and Roots
+// are the heap's own slices, valid until the heap is next written.
 func (h *Heap) CaptureState() *State {
 	return &State{
 		Semi:     h.semi,
 		Cur:      h.cur,
 		Alloc:    h.alloc,
 		AllocCnt: h.allocCnt,
-		Roots:    append([]object.Addr(nil), h.roots...),
-		Mem:      append([]object.Word(nil), h.mem...),
+		Roots:    h.roots,
+		Mem:      h.mem,
 	}
 }
 
 // FromState reconstructs a heap from a captured state, validating the
 // structural invariants (sizes, space index, pointer bounds) so a corrupt
 // or adversarial snapshot cannot produce a heap that panics on first use.
+// The heap adopts s.Mem and s.Roots as its own, without copying them.
 func FromState(s *State) (*Heap, error) {
 	if s == nil {
 		return nil, fmt.Errorf("heap: nil state")
@@ -49,12 +51,12 @@ func FromState(s *State) (*Heap, error) {
 		return nil, fmt.Errorf("heap: state current space %d out of range", s.Cur)
 	}
 	h := &Heap{
-		mem:      append([]object.Word(nil), s.Mem...),
+		mem:      s.Mem,
 		semi:     s.Semi,
 		cur:      s.Cur,
 		alloc:    s.Alloc,
 		allocCnt: s.AllocCnt,
-		roots:    append([]object.Addr(nil), s.Roots...),
+		roots:    s.Roots,
 	}
 	if s.Alloc < h.Base(s.Cur) || s.Alloc > h.Limit(s.Cur) {
 		return nil, fmt.Errorf("heap: state alloc pointer %d outside space %d", s.Alloc, s.Cur)

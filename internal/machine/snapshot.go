@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"hwgc/internal/heap"
 	"hwgc/internal/mem"
@@ -17,8 +18,10 @@ import (
 // as the original would have — Stats and final heap image are bit-identical
 // to the uninterrupted run.
 //
-// State is plain data (no cross-references into a live machine); the
-// snapshot package serializes it.
+// State is plain data; the snapshot package serializes it. Its heap words
+// have one owner at a time: a State from Snapshot shares the capturing
+// machine's heap, RestoreMachine adopts the heap of the State it is given,
+// and Clone is the one explicit copy.
 type State struct {
 	Config Config
 	Heap   *heap.State
@@ -145,6 +148,10 @@ func (m *Machine) Heap() *heap.Heap { return m.heap }
 // machine state is then not self-contained), when the collection has
 // already failed, or in concurrent-mutator mode (the mutator's untimed
 // program state lives outside the machine).
+//
+// The State does not copy the heap: its Heap.Mem and Heap.Roots are the
+// machine's own, and they stay a faithful capture only until the machine
+// steps again. Encode it, or Clone it, before stepping on.
 func (m *Machine) Snapshot() (*State, error) {
 	if m.phase != phaseRunning {
 		return nil, fmt.Errorf("machine: Snapshot outside a running collection")
@@ -244,11 +251,71 @@ func (m *Machine) Snapshot() (*State, error) {
 	return st, nil
 }
 
+// Clone returns a deep copy of s that shares no memory with s or with the
+// machine s was captured from. It is the one explicit copy of a State, for
+// an in-process caller that keeps both the capturing and the restored
+// machine running.
+func (s *State) Clone() *State {
+	c := *s
+	if h := s.Heap; h != nil {
+		hc := *h
+		hc.Roots = slices.Clone(h.Roots)
+		hc.Mem = slices.Clone(h.Mem)
+		c.Heap = &hc
+	}
+	if ms := s.Mem; ms != nil {
+		mc := *ms
+		mc.BusyUntil = slices.Clone(ms.BusyUntil)
+		mc.Cores = slices.Clone(ms.Cores)
+		for i := range mc.Cores {
+			mc.Cores[i].HeaderStores = slices.Clone(ms.Cores[i].HeaderStores)
+			mc.Cores[i].BodyStores = slices.Clone(ms.Cores[i].BodyStores)
+		}
+		mc.Inflight = slices.Clone(ms.Inflight)
+		mc.Completions = slices.Clone(ms.Completions)
+		mc.RemoteComp = slices.Clone(ms.RemoteComp)
+		mc.L1Comp = slices.Clone(ms.L1Comp)
+		mc.L2Comp = slices.Clone(ms.L2Comp)
+		mc.L1 = slices.Clone(ms.L1)
+		for i := range mc.L1 {
+			mc.L1[i] = slices.Clone(ms.L1[i])
+		}
+		mc.L2 = slices.Clone(ms.L2)
+		c.Mem = &mc
+	}
+	if sb := s.Sync; sb != nil {
+		sc := *sb
+		sc.HeaderReg = slices.Clone(sb.HeaderReg)
+		sc.Busy = slices.Clone(sb.Busy)
+		sc.Barriers = slices.Clone(sb.Barriers)
+		for i := range sc.Barriers {
+			sc.Barriers[i] = slices.Clone(sb.Barriers[i])
+		}
+		c.Sync = &sc
+	}
+	c.Cores = slices.Clone(s.Cores)
+	c.FIFO.Entries = slices.Clone(s.FIFO.Entries)
+	c.HeaderCache.Lines = slices.Clone(s.HeaderCache.Lines)
+	c.Strides = slices.Clone(s.Strides)
+	if u := s.Mut; u != nil {
+		uc := *u
+		uc.Regs = slices.Clone(u.Regs)
+		uc.Shaded = slices.Clone(u.Shaded)
+		c.Mut = &uc
+	}
+	return &c
+}
+
 // RestoreMachine reconstructs a machine mid-collection from a captured
 // state. The state's Config is the capturing machine's *effective* config
 // and is used verbatim (WithDefaults is not re-applied — it is not
 // idempotent for explicit zero values). The restored machine is driven to
 // completion with Resume, or stepped and re-snapshotted like any other.
+//
+// RestoreMachine owns st: the restored machine collects in st.Heap.Mem and
+// st.Heap.Roots without copying them. A State freshly decoded from bytes
+// needs nothing more; a caller that restores a State whose capturing
+// machine keeps running restores st.Clone() instead.
 func RestoreMachine(st *State) (*Machine, error) {
 	if st == nil {
 		return nil, fmt.Errorf("machine: nil state")

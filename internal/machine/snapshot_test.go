@@ -85,7 +85,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r, err := RestoreMachine(snap)
+			r, err := RestoreMachine(snap.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,6 +191,7 @@ func TestSnapshotAdversarialCycles(t *testing.T) {
 					if snap, err = m.Snapshot(); err != nil {
 						t.Fatal(err)
 					}
+					snap = snap.Clone()
 				}
 			}
 			if snap == nil {

@@ -22,6 +22,19 @@
 // every element count against the remaining payload bytes before
 // allocating, so truncated, corrupted or adversarial inputs produce errors
 // — never panics or unbounded allocations.
+//
+// A checkpoint copies the heap image once in each direction. Encode counts
+// its output size, allocates it once and writes each section in place; it
+// reads the heap words straight out of the State, which Machine.Snapshot
+// does not copy. Decode reads the heap section into one fresh word slice,
+// and machine.RestoreMachine adopts that slice as the restored heap. The
+// ownership contract that makes this safe:
+//
+//   - a State from Machine.Snapshot shares the live heap until that machine
+//     steps again, so encode it (or Clone it) first;
+//   - machine.RestoreMachine owns the State it is given;
+//   - State.Clone is the one explicit copy, for in-process callers that
+//     keep both the capturing and the restored machine running.
 package snapshot
 
 import (
@@ -52,15 +65,37 @@ const (
 	tagMachine
 )
 
-// writer accumulates one section payload.
+// writer encodes into buf, which a first, counting pass over the same
+// encoders sized exactly: with buf nil a writer only advances off. The two
+// passes run the same code, so they agree on every offset by construction,
+// and Encode allocates its output once.
 type writer struct {
 	buf []byte
+	off int
 }
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
+func (w *writer) u8(v uint8) {
+	if w.buf != nil {
+		w.buf[w.off] = v
+	}
+	w.off++
+}
+
+func (w *writer) u32(v uint32) {
+	if w.buf != nil {
+		binary.LittleEndian.PutUint32(w.buf[w.off:], v)
+	}
+	w.off += 4
+}
+
+func (w *writer) u64(v uint64) {
+	if w.buf != nil {
+		binary.LittleEndian.PutUint64(w.buf[w.off:], v)
+	}
+	w.off += 8
+}
+
+func (w *writer) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *writer) bool(v bool) {
 	if v {
@@ -73,12 +108,53 @@ func (w *writer) bool(v bool) {
 // count prefixes a sequence with its element count.
 func (w *writer) count(n int) { w.u32(uint32(n)) }
 
-// frame appends the section to out with its tag, length and checksum.
-func (w *writer) frame(out []byte, tag uint8) []byte {
-	out = append(out, tag)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.buf)))
-	out = append(out, w.buf...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(w.buf))
+// words writes a counted run of u64 words in one pass (the heap image).
+func (w *writer) words(v []uint64) {
+	w.count(len(v))
+	n := 8 * len(v)
+	if w.buf != nil {
+		dst := w.buf[w.off : w.off+n]
+		// Four words a step let the compiler drop the per-word bounds
+		// checks, which more than doubles the throughput.
+		for len(v) >= 4 && len(dst) >= 32 {
+			binary.LittleEndian.PutUint64(dst[0:8], v[0])
+			binary.LittleEndian.PutUint64(dst[8:16], v[1])
+			binary.LittleEndian.PutUint64(dst[16:24], v[2])
+			binary.LittleEndian.PutUint64(dst[24:32], v[3])
+			dst, v = dst[32:], v[4:]
+		}
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(dst[8*i:], x)
+		}
+	}
+	w.off += n
+}
+
+// header writes the magic and the current version.
+func (w *writer) header() {
+	for i := 0; i < len(magic); i++ {
+		w.u8(magic[i])
+	}
+	w.u32(version)
+}
+
+// begin opens a section: its tag and a length that end patches. It returns
+// the offset of the payload.
+func (w *writer) begin(tag uint8) int {
+	w.u8(tag)
+	w.u32(0)
+	return w.off
+}
+
+// end closes the section whose payload starts at start: it patches the
+// length and appends the payload's checksum.
+func (w *writer) end(start int) {
+	var sum uint32
+	if w.buf != nil {
+		binary.LittleEndian.PutUint32(w.buf[start-4:], uint32(w.off-start))
+		sum = crc32.ChecksumIEEE(w.buf[start:w.off])
+	}
+	w.u32(sum)
 }
 
 // reader consumes one section payload with a sticky error: after the first
@@ -175,6 +251,32 @@ func (r *reader) count(minItemSize int) int {
 	return int(n)
 }
 
+// words reads a counted run of u64 words in one pass (the heap image) into
+// a fresh slice; nil when the count is zero.
+func (r *reader) words() []uint64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	b := r.take(8 * n)
+	if b == nil {
+		return nil
+	}
+	v := make([]uint64, n)
+	dst := v
+	for len(dst) >= 4 && len(b) >= 32 { // unrolled as in writer.words
+		dst[0] = binary.LittleEndian.Uint64(b[0:8])
+		dst[1] = binary.LittleEndian.Uint64(b[8:16])
+		dst[2] = binary.LittleEndian.Uint64(b[16:24])
+		dst[3] = binary.LittleEndian.Uint64(b[24:32])
+		dst, b = dst[4:], b[32:]
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return v
+}
+
 // done checks that the payload was consumed exactly.
 func (r *reader) done() error {
 	if r.err != nil {
@@ -188,22 +290,22 @@ func (r *reader) done() error {
 
 // readSection validates the next section's framing against wantTag and
 // returns a reader over its checksummed payload.
-func readSection(r *reader, wantTag uint8) (*reader, error) {
+func readSection(r *reader, wantTag uint8) (reader, error) {
 	tag := r.u8()
 	n := r.u32()
 	if r.err != nil {
-		return nil, r.err
+		return reader{}, r.err
 	}
 	if tag != wantTag {
-		return nil, fmt.Errorf("snapshot: section tag %d, want %d", tag, wantTag)
+		return reader{}, fmt.Errorf("snapshot: section tag %d, want %d", tag, wantTag)
 	}
 	payload := r.take(int(n))
 	sum := r.u32()
 	if r.err != nil {
-		return nil, r.err
+		return reader{}, r.err
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("snapshot: section %d checksum mismatch (%08x != %08x)", tag, got, sum)
+		return reader{}, fmt.Errorf("snapshot: section %d checksum mismatch (%08x != %08x)", tag, got, sum)
 	}
-	return &reader{data: payload}, nil
+	return reader{data: payload}, nil
 }

@@ -136,7 +136,7 @@ func FuzzCheckpointFile(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if n := decodeAllocBytes(data); n > uint64(len(data)) {
+		if n := allocBytes(func() { DecodeCheckpoint(data) }); n > uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		c, err := DecodeCheckpoint(data)
@@ -149,15 +149,15 @@ func FuzzCheckpointFile(f *testing.F) {
 	})
 }
 
-// decodeAllocBytes returns the heap bytes one DecodeCheckpoint call
-// allocates: the least of three measurements, since the counter is process
-// wide and the fuzzing engine allocates from other goroutines.
-func decodeAllocBytes(data []byte) uint64 {
+// allocBytes returns the heap bytes one call of f allocates: the least of
+// three measurements, since the counter is process wide and the fuzzing
+// engine allocates from other goroutines.
+func allocBytes(f func()) uint64 {
 	least := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		DecodeCheckpoint(data)
+		f()
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -9,33 +9,40 @@ import (
 	"hwgc/internal/syncblock"
 )
 
-// Encode serializes a captured machine state.
+// Encode serializes a captured machine state into one exactly sized
+// buffer, writing every section in place; the heap image is written in one
+// pass straight from st.Heap.Mem.
 func Encode(st *machine.State) []byte {
-	out := append([]byte(nil), magic...)
-	var hdr writer
-	hdr.u32(version)
-	out = append(out, hdr.buf...)
+	return sized(func(w *writer) { encode(w, st) })
+}
 
-	var w writer
-	encodeConfig(&w, st.Config)
-	out = w.frame(out, tagConfig)
+// sized runs fill twice, once counting and once writing into a buffer of
+// exactly the counted size, and returns the buffer.
+func sized(fill func(*writer)) []byte {
+	var size writer
+	fill(&size)
+	w := writer{buf: make([]byte, size.off)}
+	fill(&w)
+	return w.buf
+}
 
-	w = writer{}
-	encodeHeap(&w, st.Heap)
-	out = w.frame(out, tagHeap)
-
-	w = writer{}
-	encodeSync(&w, st.Sync)
-	out = w.frame(out, tagSync)
-
-	w = writer{}
-	encodeMem(&w, st.Mem)
-	out = w.frame(out, tagMem)
-
-	w = writer{}
-	encodeMachine(&w, st)
-	out = w.frame(out, tagMachine)
-	return out
+func encode(w *writer, st *machine.State) {
+	w.header()
+	s := w.begin(tagConfig)
+	encodeConfig(w, st.Config)
+	w.end(s)
+	s = w.begin(tagHeap)
+	encodeHeap(w, st.Heap)
+	w.end(s)
+	s = w.begin(tagSync)
+	encodeSync(w, st.Sync)
+	w.end(s)
+	s = w.begin(tagMem)
+	encodeMem(w, st.Mem)
+	w.end(s)
+	s = w.begin(tagMachine)
+	encodeMachine(w, st)
+	w.end(s)
 }
 
 // Decode parses a serialized machine state, validating framing and
@@ -61,31 +68,31 @@ func Decode(data []byte) (*machine.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Config, err = decodeConfig(sec, v); err != nil {
+	if st.Config, err = decodeConfig(&sec, v); err != nil {
 		return nil, err
 	}
 	if sec, err = readSection(r, tagHeap); err != nil {
 		return nil, err
 	}
-	if st.Heap, err = decodeHeap(sec); err != nil {
+	if st.Heap, err = decodeHeap(&sec); err != nil {
 		return nil, err
 	}
 	if sec, err = readSection(r, tagSync); err != nil {
 		return nil, err
 	}
-	if st.Sync, err = decodeSync(sec); err != nil {
+	if st.Sync, err = decodeSync(&sec); err != nil {
 		return nil, err
 	}
 	if sec, err = readSection(r, tagMem); err != nil {
 		return nil, err
 	}
-	if st.Mem, err = decodeMem(sec, v); err != nil {
+	if st.Mem, err = decodeMem(&sec, v); err != nil {
 		return nil, err
 	}
 	if sec, err = readSection(r, tagMachine); err != nil {
 		return nil, err
 	}
-	if err = decodeMachine(sec, st, v); err != nil {
+	if err = decodeMachine(&sec, st, v); err != nil {
 		return nil, err
 	}
 	if r.remaining() != 0 {
@@ -230,10 +237,7 @@ func encodeHeap(w *writer, h *heap.State) {
 	for _, a := range h.Roots {
 		w.u32(a)
 	}
-	w.count(len(h.Mem))
-	for _, v := range h.Mem {
-		w.u64(v)
-	}
+	w.words(h.Mem)
 }
 
 func decodeHeap(r *reader) (*heap.State, error) {
@@ -249,12 +253,7 @@ func decodeHeap(r *reader) (*heap.State, error) {
 			h.Roots[i] = r.u32()
 		}
 	}
-	if n := r.count(8); n > 0 {
-		h.Mem = make([]uint64, n)
-		for i := range h.Mem {
-			h.Mem[i] = r.u64()
-		}
-	}
+	h.Mem = r.words()
 	return h, r.done()
 }
 

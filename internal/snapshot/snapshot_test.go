@@ -7,21 +7,29 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"hwgc/internal/machine"
+	"hwgc/internal/mem"
 	"hwgc/internal/workload"
 )
 
 // captureState runs a collection to a checkpoint and snapshots it.
 func captureState(t testing.TB, bench string, cfg machine.Config, cycles int64) *machine.State {
 	t.Helper()
+	return captureScaled(t, bench, 1, cfg, cycles)
+}
+
+// captureScaled is captureState at a workload scale other than 1.
+func captureScaled(t testing.TB, bench string, scale int, cfg machine.Config, cycles int64) *machine.State {
+	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := spec.Plan(1, 42).BuildHeap(2.0)
+	h, err := spec.Plan(scale, 42).BuildHeap(2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +124,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestDecodeBoundsAllocations(t *testing.T) {
 	// A tiny input claiming a huge element count must error out instead of
 	// attempting the allocation.
-	var w writer
-	w.u32(version)
-	data := append([]byte(magic), w.buf...)
-	var sec writer
-	encodeConfig(&sec, machine.Config{Cores: 1})
-	data = sec.frame(data, tagConfig)
-	var hp writer
-	hp.i64(64)         // semi
-	hp.i64(0)          // cur
-	hp.u32(1)          // alloc
-	hp.i64(0)          // allocCnt
-	hp.u32(0xffffffff) // absurd root count with no bytes behind it
-	data = hp.frame(data, tagHeap)
+	data := sized(func(w *writer) {
+		w.header()
+		s := w.begin(tagConfig)
+		encodeConfig(w, machine.Config{Cores: 1})
+		w.end(s)
+		s = w.begin(tagHeap)
+		w.i64(64)         // semi
+		w.i64(0)          // cur
+		w.u32(1)          // alloc
+		w.i64(0)          // allocCnt
+		w.u32(0xffffffff) // absurd root count with no bytes behind it
+		w.end(s)
+	})
 	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "count") {
 		t.Fatalf("oversized count: err = %v", err)
 	}
@@ -379,17 +387,133 @@ func TestDecodeVersion2Fixture(t *testing.T) {
 	}
 }
 
+// TestDecodeVersion3Fixture pins the current format the way the v1 and v2
+// fixtures pin theirs, with the memory hierarchy on: the committed snapshot
+// was captured where the L1 and L2 tag arrays hold valid lines and the
+// NUMA-remote and L2-hit completion rings are non-empty (an L1 hit
+// completes within its cycle, so that ring is empty at every boundary).
+// Being the current version, it must also re-encode to its own bytes.
+//
+// Fixture recipe (written by the encoder before the single-buffer rewrite;
+// do not regenerate): workload jlisp, Plan(1, 42).BuildHeap(2.0),
+// machine.Config{Cores: 4, L1Sets: 16, NUMADomains: 4}, BeginCollect,
+// StepCycles(541), Snapshot.
+func TestDecodeVersion3Fixture(t *testing.T) {
+	gz, err := os.ReadFile("testdata/v3-jlisp-cache-numa-c4.snap.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != 3 {
+		t.Fatalf("fixture declares version %d, want 3", v)
+	}
+
+	st, err := Decode(data)
+	if err != nil {
+		t.Fatalf("decoding the v3 fixture: %v", err)
+	}
+	if st.Cycle != 541 {
+		t.Fatalf("fixture captured at cycle %d, want 541", st.Cycle)
+	}
+	if len(st.Mem.RemoteComp) == 0 || len(st.Mem.L2Comp) == 0 {
+		t.Fatalf("fixture completion rings: %d remote, %d L2-hit; want both non-empty",
+			len(st.Mem.RemoteComp), len(st.Mem.L2Comp))
+	}
+	if !slices.ContainsFunc(st.Mem.L1[0], func(l mem.CacheLineState) bool { return l.Valid }) ||
+		!slices.ContainsFunc(st.Mem.L2, func(l mem.CacheLineState) bool { return l.Valid }) {
+		t.Fatal("fixture cache tag arrays hold no valid line")
+	}
+	if !bytes.Equal(Encode(st), data) {
+		t.Fatal("the v3 fixture does not re-encode to its own bytes")
+	}
+
+	m, err := machine.RestoreMachine(st)
+	if err != nil {
+		t.Fatalf("restoring the v3 fixture: %v", err)
+	}
+	resumed, err := m.Resume()
+	if err != nil {
+		t.Fatalf("resuming the v3 fixture: %v", err)
+	}
+	spec, err := workload.Get("jlisp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := spec.Plan(1, 42).BuildHeap(2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := machine.New(h, machine.Config{Cores: 4, L1Sets: 16, NUMADomains: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range resumed.DiffFields(&want) {
+		t.Errorf("v3 fixture resume vs uninterrupted run: %s", d)
+	}
+
+	for _, n := range []int{len(magic) + 2, len(data) / 3, len(data) - 1} {
+		if _, err := Decode(data[:n]); err == nil {
+			t.Errorf("truncated v3 fixture (%d bytes) decoded without error", n)
+		}
+	}
+	for _, off := range []int{20, len(data) / 2, len(data) - 10} {
+		bad := append([]byte(nil), data...)
+		bad[off] ^= 1
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("v3 fixture with bit flip at %d decoded without error", off)
+		}
+	}
+}
+
 // FuzzSnapshotDecode checks that arbitrary bytes — including mutations of a
 // valid snapshot — never panic or over-allocate in Decode, and that inputs
 // accepted by Decode re-encode canonically.
+//
+// Decode may allocate at most maxDecodeAlloc bytes per input byte plus a
+// fixed decodeAllocSlack: every element count is bounded by the bytes left
+// in its section, and the widest element per input byte is a barrier slot
+// (a 24-byte slice header for a 1-byte nil marker).
 func FuzzSnapshotDecode(f *testing.F) {
+	const maxDecodeAlloc, decodeAllocSlack = 32, 4 << 10
 	st := captureState(f, "jlisp", machine.Config{Cores: 2}, 100)
 	valid := Encode(st)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(magic))
 	f.Add([]byte{})
+	f.Add(Encode(captureState(f, "jlisp", machine.Config{Cores: 4, L1Sets: 16, NUMADomains: 4}, 541)))
+	f.Add(Encode(captureState(f, "jlisp", machine.Config{Cores: 2, MutatorOps: 1 << 40, BarrierMode: machine.BarrierSATB}, 100)))
+	f.Add(sized(func(w *writer) { // a heap section claiming more words than remain
+		w.header()
+		s := w.begin(tagConfig)
+		encodeConfig(w, st.Config)
+		w.end(s)
+		s = w.begin(tagHeap)
+		w.i64(int64(st.Heap.Semi))
+		w.i64(int64(st.Heap.Cur))
+		w.u32(st.Heap.Alloc)
+		w.i64(st.Heap.AllocCnt)
+		w.count(0)       // roots
+		w.count(1 << 24) // words, with two behind it
+		w.u64(0)
+		w.u64(0)
+		w.end(s)
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if n := allocBytes(func() { Decode(data) }); n > maxDecodeAlloc*uint64(len(data))+decodeAllocSlack {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
 		got, err := Decode(data)
 		if err != nil {
 			return
